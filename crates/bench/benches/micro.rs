@@ -2,19 +2,23 @@
 //!
 //! The figures report *virtual* device time; these benches measure real
 //! CPU cost of the in-memory machinery (encoding, page packing, k-way
-//! merging, buffer operations) — the part the paper argues is negligible
-//! next to I/O (Figure 13), which these numbers substantiate.
+//! merging, buffer operations, checksums, crash-recovery log replay) —
+//! the part the paper argues is negligible next to I/O (Figure 13),
+//! which these numbers substantiate.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use std::sync::Arc;
 
+use masm_blockrun::crc32;
 use masm_core::config::MasmConfig;
 use masm_core::membuf::UpdateBuffer;
 use masm_core::merge::{MergeDataUpdates, MergeUpdates, UpdateStream};
 use masm_core::run::{build_run, write_run, RunScan};
 use masm_core::update::{UpdateOp, UpdateRecord};
-use masm_pagestore::{Page, Record, Schema};
+use masm_core::wal::WalRecord;
+use masm_core::MasmEngine;
+use masm_pagestore::{HeapConfig, Page, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
 fn sample_updates(n: u64) -> Vec<UpdateRecord> {
@@ -157,8 +161,67 @@ fn bench_run_roundtrip(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_crc32(c: &mut Criterion) {
+    let data: Vec<u8> = (0..64 * 1024u32).map(|i| (i * 31 + 7) as u8).collect();
+    let mut group = c.benchmark_group("checksum");
+    group.throughput(Throughput::Bytes(data.len() as u64));
+    group.bench_function("crc32_64k", |b| b.iter(|| crc32(black_box(&data))));
+    group.finish();
+}
+
+/// Crash recovery over a redo log of 200k updates, each 1000 of them
+/// absorbed by a logged 1-pass run (created, later deleted) except the
+/// last 1000: the replay walks the whole log to rebuild that buffer.
+fn bench_wal_replay(c: &mut Criterion) {
+    const UPDATES: u64 = 200_000;
+    let mut log = Vec::new();
+    for u in sample_updates(UPDATES) {
+        let ts = u.ts;
+        WalRecord::Update(u).encode_into(&mut log);
+        if ts % 1000 == 0 && ts < UPDATES {
+            let id = ts / 1000;
+            WalRecord::RunCreated {
+                id,
+                base: 0,
+                bytes: 0,
+                count: 1000,
+                passes: 1,
+                max_ts: ts,
+            }
+            .encode_into(&mut log);
+            WalRecord::RunsDeleted(vec![id]).encode_into(&mut log);
+        }
+    }
+    let clock = SimClock::new();
+    let wal = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
+    wal.write_at(0, 0, &log).unwrap();
+    let cfg = MasmConfig::small_for_tests();
+    let mut group = c.benchmark_group("recovery");
+    group.throughput(Throughput::Elements(UPDATES));
+    group.bench_function("wal_replay_200k_updates", |b| {
+        b.iter(|| {
+            let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
+            let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
+            let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
+            let (_, report) = MasmEngine::recover(
+                heap,
+                ssd,
+                wal.clone(),
+                Schema::synthetic_100b(),
+                cfg.clone(),
+            )
+            .unwrap();
+            assert_eq!(report.updates_recovered, 1000);
+            black_box(report.wal_records_replayed)
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_crc32,
+    bench_wal_replay,
     bench_update_codec,
     bench_page_packing,
     bench_membuf,

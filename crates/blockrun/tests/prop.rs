@@ -1,5 +1,6 @@
 //! Property-based tests for the block-run format: codec round-trips,
-//! zone-map pruning correctness, and bloom-filter false-positive rate.
+//! zone-map pruning correctness, bloom-filter false-positive rate, and
+//! the slicing-by-8 CRC-32 against a bitwise reference.
 
 use std::sync::Arc;
 
@@ -7,8 +8,8 @@ use proptest::prelude::*;
 
 use masm_blockrun::block::{decode_block, encode_block};
 use masm_blockrun::{
-    read_meta, write_run, BlockCache, BlockCacheConfig, BlockRunConfig, BlockRunScan, BloomFilter,
-    CachePolicy, CachedBlock, CodecChoice, Entry, StoredBlock,
+    crc32, read_meta, write_run, BlockCache, BlockCacheConfig, BlockRunConfig, BlockRunScan,
+    BloomFilter, CachePolicy, CachedBlock, CodecChoice, Entry, StoredBlock,
 };
 use masm_codec::{codec_for, Codec, Delta, Identity, Lz};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
@@ -17,6 +18,48 @@ fn device() -> (SimDevice, SessionHandle) {
     let clock = SimClock::new();
     let dev = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
     (dev, SessionHandle::fresh(clock))
+}
+
+/// Bitwise CRC-32 (reflected 0xEDB88320), with no table: the
+/// definition the slicing-by-8 kernel must reproduce bit for bit.
+fn crc32_reference(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+/// Every length 0..=1024 at every start alignment 0..8: covers each
+/// split between the 8-byte main loop and the bytewise tail.
+#[test]
+fn crc32_matches_bitwise_reference_at_every_length_and_alignment() {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let data: Vec<u8> = (0..1024 + 8)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        })
+        .collect();
+    for align in 0..8 {
+        for len in 0..=1024 {
+            let slice = &data[align..align + len];
+            assert_eq!(
+                crc32(slice),
+                crc32_reference(slice),
+                "len {len} align {align}"
+            );
+        }
+    }
 }
 
 fn raw_entries() -> impl Strategy<Value = Vec<(u64, u64, Vec<u8>)>> {
@@ -48,6 +91,12 @@ fn small_cfg() -> BlockRunConfig {
 }
 
 proptest! {
+    /// The kernel agrees with the bitwise reference on arbitrary bytes.
+    #[test]
+    fn crc32_matches_bitwise_reference(data in proptest::collection::vec(any::<u8>(), 0..300)) {
+        prop_assert_eq!(crc32(&data), crc32_reference(&data));
+    }
+
     /// Arbitrary records → block → records is the identity.
     #[test]
     fn block_codec_roundtrip(raw in raw_entries()) {

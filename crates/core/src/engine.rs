@@ -48,7 +48,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::{Condvar, Mutex};
 
 use masm_blockrun::BlockCache;
-use masm_pagestore::{ChunkCommit, Key, Page, Record, Schema, TableHeap, TsRangeScan};
+use masm_pagestore::{Key, Page, Record, Schema, TableHeap, TsRangeScan};
 use masm_storage::{
     CacheStatsSnapshot, CompressionReport, IoSession, MergeReport, Ns, SessionHandle, SimDevice,
     TrackedMutex,
@@ -66,6 +66,7 @@ use crate::membuf::UpdateBuffer;
 use crate::merge::{
     compact_block_runs, fold_duplicates, MergeDataUpdates, MergeUpdates, UpdateStream,
 };
+use crate::recovery::{apply_heap_events, parse_wal, ParsedWal};
 use crate::run::{
     build_run, lookup_in_run, recover_run, write_built, RunScan, SortedRun, SsdSpace,
 };
@@ -100,6 +101,7 @@ struct EngineMetrics {
 /// only on engines built by [`MasmEngine::recover`].
 struct RecoveryCounters {
     records_replayed: Arc<Counter>,
+    wal_bytes: Arc<Counter>,
     updates_rebuilt: Arc<Counter>,
     runs_recovered: Arc<Counter>,
     torn_tail: Arc<Counter>,
@@ -139,6 +141,11 @@ impl EngineMetrics {
                         "records_replayed",
                         Unit::Ops,
                         "WAL records replayed at recovery",
+                    ),
+                    wal_bytes: r(
+                        "wal_bytes",
+                        Unit::Bytes,
+                        "WAL bytes CRC-verified by replay at recovery",
                     ),
                     updates_rebuilt: r(
                         "updates_rebuilt",
@@ -260,103 +267,6 @@ pub struct RecoveryReport {
     /// Bytes truncated from a torn WAL tail (0 = the log ended
     /// cleanly).
     pub wal_torn_bytes: u64,
-}
-
-/// One heap-metadata event parsed from a redo log. Sharded recovery
-/// merges the events of every shard's log into one globally ordered
-/// sequence (by `seq`, with cross-log duplicates removed) before
-/// touching the shared heap.
-#[derive(Debug, Clone)]
-pub(crate) enum HeapEvent {
-    /// A bulk load ([`WalRecord::HeapLoaded`]).
-    Load {
-        /// Global heap-event sequence number.
-        seq: u64,
-        /// Physical base offset of the load.
-        base: u64,
-        /// Page size used.
-        page_size: u32,
-        /// Minimum key per page.
-        min_keys: Vec<Key>,
-        /// Total records loaded.
-        record_count: u64,
-    },
-    /// A migration chunk splice ([`WalRecord::MapSplice`]).
-    Splice {
-        /// Global heap-event sequence number.
-        seq: u64,
-        /// The logged splice.
-        commit: ChunkCommit,
-    },
-}
-
-impl HeapEvent {
-    pub(crate) fn seq(&self) -> u64 {
-        match self {
-            HeapEvent::Load { seq, .. } | HeapEvent::Splice { seq, .. } => *seq,
-        }
-    }
-}
-
-/// Replay the heap-metadata events of one or more redo logs against a
-/// (fresh) table heap, in global `seq` order. Duplicates — the same
-/// bulk load broadcast to several shard WALs — collapse by `seq`.
-pub(crate) fn apply_heap_events(heap: &TableHeap, mut events: Vec<HeapEvent>) {
-    events.sort_by_key(HeapEvent::seq);
-    events.dedup_by_key(|e| e.seq());
-    for ev in events {
-        match ev {
-            HeapEvent::Load {
-                base,
-                page_size,
-                min_keys,
-                record_count,
-                ..
-            } => {
-                let page_map: Vec<u64> = (0..min_keys.len() as u64)
-                    .map(|i| base + i * page_size as u64)
-                    .collect();
-                let alloc_next = base + min_keys.len() as u64 * page_size as u64;
-                heap.restore(page_map, min_keys, record_count, alloc_next);
-            }
-            HeapEvent::Splice { commit, .. } => heap.apply_splice(&commit),
-        }
-    }
-}
-
-/// One materialized run named by the redo log as live at the crash.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RecoveredRun {
-    base: u64,
-    bytes: u64,
-    passes: u8,
-}
-
-/// Everything crash recovery needs from one shard's redo log: the
-/// record-level fold of the longest valid log prefix.
-pub(crate) struct ParsedWal {
-    /// The shard manifest, when the log belongs to a sharded
-    /// deployment (absent on standalone engines).
-    pub(crate) manifest: Option<ShardManifest>,
-    /// Runs created and not yet deleted, by run id.
-    pub(crate) live_runs: BTreeMap<u64, RecoveredRun>,
-    /// Logged updates not yet absorbed by any 1-pass run — the
-    /// in-memory buffer contents at the crash.
-    pub(crate) pending: Vec<UpdateRecord>,
-    /// Highest durable timestamp (updates, migration marks, and
-    /// heap-event seqs all draw from the one oracle).
-    pub(crate) max_ts: Timestamp,
-    /// A `MigrationBegin` without its `MigrationEnd`.
-    pub(crate) unfinished_migration: bool,
-    /// Heap loads and splices, in log order.
-    pub(crate) heap_events: Vec<HeapEvent>,
-    /// Records in the valid prefix.
-    pub(crate) records_replayed: u64,
-    /// Byte offset where the valid prefix ends (the recovered append
-    /// point).
-    pub(crate) end_offset: u64,
-    /// Bytes dropped beyond `end_offset` (torn tail; 0 = clean end).
-    pub(crate) torn_bytes: u64,
 }
 
 /// The MaSM storage-manager engine for one table.
@@ -2187,7 +2097,7 @@ impl MasmEngine {
     ) -> MasmResult<(Arc<Self>, RecoveryReport)> {
         cfg.validate()?;
         let session = SessionHandle::fresh(ssd.clock().clone());
-        let mut parsed = Self::parse_wal(&session, &wal_dev)?;
+        let mut parsed = parse_wal(&session, &wal_dev)?;
         apply_heap_events(&heap, std::mem::take(&mut parsed.heap_events));
         let unfinished = parsed.unfinished_migration;
         let (engine, mut report) = Self::recover_from_parsed(
@@ -2208,96 +2118,6 @@ impl MasmEngine {
             report.redid_migration = true;
         }
         Ok((engine, report))
-    }
-
-    /// Fold one redo log into its recovery-relevant state (the longest
-    /// valid prefix; torn tails are truncated here, per [`Wal::replay`]).
-    pub(crate) fn parse_wal(session: &SessionHandle, wal_dev: &SimDevice) -> MasmResult<ParsedWal> {
-        let replay = Wal::replay(session, wal_dev)?;
-        let mut parsed = ParsedWal {
-            manifest: None,
-            live_runs: BTreeMap::new(),
-            pending: Vec::new(),
-            max_ts: 0,
-            unfinished_migration: false,
-            heap_events: Vec::new(),
-            records_replayed: replay.records.len() as u64,
-            end_offset: replay.end_offset,
-            torn_bytes: replay.torn_bytes,
-        };
-        for rec in replay.records {
-            match rec {
-                WalRecord::Update(u) => {
-                    parsed.max_ts = parsed.max_ts.max(u.ts);
-                    parsed.pending.push(u);
-                }
-                WalRecord::RunCreated {
-                    id,
-                    base,
-                    bytes,
-                    passes,
-                    max_ts: run_max_ts,
-                    ..
-                } => {
-                    parsed.live_runs.insert(
-                        id,
-                        RecoveredRun {
-                            base,
-                            bytes,
-                            passes,
-                        },
-                    );
-                    if passes == 1 {
-                        // Updates at or below the run's max timestamp
-                        // are durable in the run; the rest were still
-                        // buffer-resident at the crash. A timestamp
-                        // filter (not log position) because concurrent
-                        // appenders interleave Update and RunCreated
-                        // records; re-applied duplicates are idempotent.
-                        parsed.pending.retain(|u| u.ts > run_max_ts);
-                    }
-                }
-                WalRecord::RunsDeleted(ids) => {
-                    for id in ids {
-                        parsed.live_runs.remove(&id);
-                    }
-                }
-                WalRecord::MigrationBegin { ts, .. } => {
-                    parsed.max_ts = parsed.max_ts.max(ts);
-                    parsed.unfinished_migration = true;
-                }
-                WalRecord::MigrationEnd { .. } => {
-                    parsed.unfinished_migration = false;
-                }
-                WalRecord::HeapLoaded {
-                    seq,
-                    base,
-                    page_size,
-                    min_keys,
-                    record_count,
-                } => {
-                    parsed.max_ts = parsed.max_ts.max(seq);
-                    parsed.heap_events.push(HeapEvent::Load {
-                        seq,
-                        base,
-                        page_size,
-                        min_keys,
-                        record_count,
-                    });
-                }
-                WalRecord::MapSplice { seq, commit } => {
-                    parsed.max_ts = parsed.max_ts.max(seq);
-                    parsed.heap_events.push(HeapEvent::Splice { seq, commit });
-                }
-                WalRecord::Manifest(m) => {
-                    if parsed.manifest.as_ref().is_some_and(|prev| *prev != m) {
-                        return Err(MasmError::Corrupt("conflicting manifests in one WAL"));
-                    }
-                    parsed.manifest = Some(m);
-                }
-            }
-        }
-        Ok(parsed)
     }
 
     /// Build a recovered engine from a parsed redo log. The heap must
@@ -2322,9 +2142,9 @@ impl MasmEngine {
         tracer: Option<Arc<Tracer>>,
     ) -> MasmResult<(Arc<Self>, RecoveryReport)> {
         cfg.validate()?;
-        let t0 = ssd.clock().now();
         let session = SessionHandle::fresh(ssd.clock().clone());
         let ParsedWal {
+            started: t0,
             live_runs,
             pending,
             mut max_ts,
@@ -2433,6 +2253,7 @@ impl MasmEngine {
 
         let rc = &engine.metrics.recovery;
         rc.records_replayed.add(records_replayed);
+        rc.wal_bytes.add(end_offset);
         rc.updates_rebuilt.add(updates_recovered);
         rc.runs_recovered.add(runs_recovered as u64);
         if torn_bytes > 0 {
@@ -2445,7 +2266,7 @@ impl MasmEngine {
                 "recovery",
                 engine.track(),
                 t0,
-                (t1 - t0).max(1),
+                t1.saturating_sub(t0).max(1),
                 "records",
                 records_replayed,
             );
@@ -2808,6 +2629,60 @@ mod tests {
             .map(|r| r.key)
             .collect();
         assert_eq!(expect, got, "post-recovery scans see all updates");
+    }
+
+    /// The `recovery` span starts before the WAL is read, so it times
+    /// the replay; `recovery.wal_bytes` counts the verified log prefix.
+    #[test]
+    fn recovery_span_covers_wal_replay_and_counts_wal_bytes() {
+        let clock = SimClock::new();
+        let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
+        let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
+        let wal_dev = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
+        let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
+        let session = SessionHandle::fresh(clock.clone());
+        let cfg = MasmConfig::small_for_tests();
+        let engine =
+            MasmEngine::new(heap, ssd.clone(), wal_dev.clone(), schema(), cfg.clone()).unwrap();
+        for i in 0..300u64 {
+            engine
+                .apply_update(&session, i, UpdateOp::Insert(payload(1)))
+                .unwrap();
+        }
+        drop(engine);
+        let wal_len = wal_dev.len();
+        let before = clock.now();
+        let wal_reads = wal_dev.stats().read_ops;
+        let tracer = Arc::new(masm_telemetry::Tracer::new(
+            masm_telemetry::TraceConfig::default(),
+        ));
+        let heap2 = Arc::new(TableHeap::new(disk, HeapConfig::default()));
+        let (engine2, _) = MasmEngine::recover_traced(
+            heap2,
+            ssd,
+            wal_dev.clone(),
+            schema(),
+            cfg,
+            Some(Arc::clone(&tracer)),
+        )
+        .unwrap();
+        assert_eq!(wal_dev.stats().read_ops - wal_reads, 1, "one WAL read");
+        let span = tracer
+            .take_records()
+            .into_iter()
+            .find(|r| r.name == "recovery")
+            .expect("recovery span");
+        assert_eq!(span.t_ns, before, "span starts before the WAL read");
+        let mut wal_bytes = None;
+        engine2
+            .registry()
+            .for_each(|name, metric, _, _| match metric {
+                masm_telemetry::Metric::Counter(c) if name == "recovery.wal_bytes" => {
+                    wal_bytes = Some(c.get());
+                }
+                _ => {}
+            });
+        assert_eq!(wal_bytes, Some(wal_len));
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub mod error;
 pub mod manifest;
 pub mod membuf;
 pub mod merge;
+pub(crate) mod recovery;
 pub mod run;
 pub mod secondary;
 pub mod shard;

@@ -40,11 +40,10 @@ use masm_telemetry::json::JsonObj;
 use masm_telemetry::{current_tid, EngineStats, Registry, Tracer, TrackId, Unit};
 
 use crate::config::{MasmConfig, ShardingConfig, SplitPolicy};
-use crate::engine::{
-    apply_heap_events, MasmEngine, MergeScan, MigrationReport, ParsedWal, RecoveryReport,
-};
+use crate::engine::{MasmEngine, MergeScan, MigrationReport, RecoveryReport};
 use crate::error::{MasmError, MasmResult};
 use crate::manifest::ShardManifest;
+use crate::recovery::{apply_heap_events, parse_wal, ParsedWal};
 use crate::ts::{Timestamp, TimestampOracle};
 use crate::update::UpdateOp;
 use crate::worker::{WorkerHandle, WorkerPool};
@@ -387,7 +386,7 @@ impl ShardedEngine {
         let mut parsed: Vec<ParsedWal> = Vec::with_capacity(n);
         for wal in &wals {
             let session = SessionHandle::fresh(wal.clock().clone());
-            parsed.push(MasmEngine::parse_wal(&session, wal)?);
+            parsed.push(parse_wal(&session, wal)?);
         }
 
         // Cross-check all N manifest copies before trusting anything.

@@ -109,58 +109,58 @@ impl UpdateRecord {
         out
     }
 
-    /// Decode an operation (tag + content) from the front of `buf`;
-    /// returns it and the bytes consumed.
-    fn decode_op(buf: &[u8]) -> Option<(UpdateOp, usize)> {
-        let tag = *buf.first()?;
-        let mut pos = 1usize;
-        let op = match tag {
-            0 | 3 => {
-                if buf.len() < pos + 2 {
-                    return None;
-                }
-                let len = u16::from_le_bytes(buf[pos..pos + 2].try_into().ok()?) as usize;
-                pos += 2;
-                if buf.len() < pos + len {
-                    return None;
-                }
-                let payload = buf[pos..pos + len].to_vec();
-                pos += len;
-                if tag == 0 {
-                    UpdateOp::Insert(payload)
-                } else {
-                    UpdateOp::Replace(payload)
-                }
-            }
-            1 => UpdateOp::Delete,
+    /// Length of the operation (tag + content) at the front of `buf`,
+    /// or `None` if it is truncated or has an unknown tag. This is the
+    /// one acceptance check: `decode_op` builds on it.
+    fn op_len(buf: &[u8]) -> Option<usize> {
+        let u16_at = |pos: usize| {
+            buf.get(pos..pos + 2)
+                .map(|b| u16::from_le_bytes([b[0], b[1]]) as usize)
+        };
+        let end = match *buf.first()? {
+            0 | 3 => 3 + u16_at(1)?,
+            1 => 1,
             2 => {
-                if buf.len() < pos + 1 {
-                    return None;
-                }
-                let n = buf[pos] as usize;
-                pos += 1;
-                let mut patches = Vec::with_capacity(n);
+                let n = *buf.get(1)?;
+                let mut pos = 2;
                 for _ in 0..n {
-                    if buf.len() < pos + 4 {
-                        return None;
-                    }
-                    let field = u16::from_le_bytes(buf[pos..pos + 2].try_into().ok()?);
-                    let len = u16::from_le_bytes(buf[pos + 2..pos + 4].try_into().ok()?) as usize;
-                    pos += 4;
-                    if buf.len() < pos + len {
-                        return None;
-                    }
-                    patches.push(FieldPatch {
-                        field,
-                        value: buf[pos..pos + len].to_vec(),
-                    });
-                    pos += len;
+                    // `[u16 field][u16 len][value]`
+                    pos += 4 + u16_at(pos + 2)?;
                 }
-                UpdateOp::Modify(patches)
+                pos
             }
             _ => return None,
         };
-        Some((op, pos))
+        (end <= buf.len()).then_some(end)
+    }
+
+    /// Decode an operation (tag + content) from the front of `buf`;
+    /// returns it and the bytes consumed.
+    fn decode_op(buf: &[u8]) -> Option<(UpdateOp, usize)> {
+        let used = Self::op_len(buf)?;
+        // In bounds: `op_len` walked every field read below.
+        let u16_at = |pos: usize| u16::from_le_bytes([buf[pos], buf[pos + 1]]);
+        let op = match buf[0] {
+            0 => UpdateOp::Insert(buf[3..used].to_vec()),
+            3 => UpdateOp::Replace(buf[3..used].to_vec()),
+            1 => UpdateOp::Delete,
+            _ => {
+                let mut pos = 2;
+                let patches = (0..buf[1])
+                    .map(|_| {
+                        let len = u16_at(pos + 2) as usize;
+                        let patch = FieldPatch {
+                            field: u16_at(pos),
+                            value: buf[pos + 4..pos + 4 + len].to_vec(),
+                        };
+                        pos += 4 + len;
+                        patch
+                    })
+                    .collect();
+                UpdateOp::Modify(patches)
+            }
+        };
+        Some((op, used))
     }
 
     /// Decode one record from the front of `buf`; returns it and the
@@ -173,6 +173,19 @@ impl UpdateRecord {
         let key = Key::from_le_bytes(buf[8..16].try_into().ok()?);
         let (op, used) = Self::decode_op(&buf[16..])?;
         Some((UpdateRecord { ts, key, op }, 16 + used))
+    }
+
+    /// Check the record at the front of `buf` without decoding it:
+    /// returns its timestamp and encoded length. Accepts exactly the
+    /// inputs [`UpdateRecord::decode`] accepts, and allocates nothing —
+    /// crash recovery uses it to fold a whole redo log before decoding
+    /// only the updates that survive.
+    pub fn validate(buf: &[u8]) -> Option<(Timestamp, usize)> {
+        if buf.len() < 17 {
+            return None;
+        }
+        let ts = Timestamp::from_le_bytes(buf[0..8].try_into().ok()?);
+        Some((ts, 16 + Self::op_len(&buf[16..])?))
     }
 
     /// Reassemble a record from block-run parts: the `(key, ts)` the

@@ -155,7 +155,7 @@ fn get_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
     Some(v)
 }
 
-/// One framing step of [`Wal::replay`].
+/// One framing step of [`visit_records`].
 enum Framed<'a> {
     /// Clean end of the log (empty or zero padding to the end).
     End,
@@ -213,9 +213,12 @@ fn frame(buf: &[u8]) -> Framed<'_> {
 }
 
 impl WalRecord {
+    /// Tag of [`WalRecord::Update`] records.
+    pub(crate) const UPDATE_TAG: u8 = 0;
+
     fn tag(&self) -> u8 {
         match self {
-            WalRecord::Update(_) => 0,
+            WalRecord::Update(_) => Self::UPDATE_TAG,
             WalRecord::RunCreated { .. } => 1,
             WalRecord::RunsDeleted(_) => 2,
             WalRecord::MigrationBegin { .. } => 3,
@@ -290,11 +293,11 @@ impl WalRecord {
     /// Decode a CRC-verified record body. The framing CRC has already
     /// vouched for these bytes, so any failure here is real corruption
     /// (or an unknown record version) — always a hard error.
-    fn decode_body(tag: u8, body: &[u8]) -> MasmResult<WalRecord> {
+    pub(crate) fn decode_body(tag: u8, body: &[u8]) -> MasmResult<WalRecord> {
         let body_len = body.len();
         let mut pos = 0usize;
         let rec = match tag {
-            0 => {
+            Self::UPDATE_TAG => {
                 let (u, used) =
                     UpdateRecord::decode(body).ok_or(MasmError::Corrupt("WAL update"))?;
                 if used != body_len {
@@ -507,6 +510,16 @@ impl Wal {
         &self.dev
     }
 
+    /// Read the whole log from `dev` in one sequential device read
+    /// (none for an empty device), for [`visit_records`].
+    pub(crate) fn read_log(session: &SessionHandle, dev: &SimDevice) -> MasmResult<Vec<u8>> {
+        let len = dev.len();
+        if len == 0 {
+            return Ok(Vec::new());
+        }
+        Ok(session.read(dev, 0, len)?)
+    }
+
     /// Read the longest valid record prefix from `dev` (crash
     /// recovery). A torn tail — a record cut off by the end of the log,
     /// or a CRC-failing final record followed only by zeroes — is
@@ -516,37 +529,66 @@ impl Wal {
     /// fails hard ([`MasmError::Corrupt`]), as does a record whose CRC
     /// passes but whose body is malformed.
     pub fn replay(session: &SessionHandle, dev: &SimDevice) -> MasmResult<WalReplay> {
-        let len = dev.len();
-        if len == 0 {
-            return Ok(WalReplay::default());
-        }
-        let buf = session.read(dev, 0, len)?;
+        let buf = Self::read_log(session, dev)?;
         let mut records = Vec::new();
-        let mut pos = 0usize;
-        let torn = loop {
-            match frame(&buf[pos..]) {
-                Framed::End => break false,
-                Framed::Torn => break true,
-                Framed::BadCrc { extent } => {
-                    if buf[pos + extent..].iter().all(|&b| b == 0) {
-                        // Final record, partially persisted: torn tail.
-                        break true;
-                    }
-                    return Err(MasmError::Corrupt("WAL record CRC mismatch mid-log"));
-                }
-                Framed::Record { tag, body, used } => {
-                    records.push(WalRecord::decode_body(tag, body)?);
-                    pos += used;
-                }
-            }
-        };
-        let torn_bytes = if torn { len - pos as u64 } else { 0 };
+        let extent = visit_records(&buf, |tag, body| {
+            records.push(WalRecord::decode_body(tag, body)?);
+            Ok(())
+        })?;
         Ok(WalReplay {
             records,
-            end_offset: pos as u64,
-            torn_bytes,
+            end_offset: extent.end_offset,
+            torn_bytes: extent.torn_bytes,
         })
     }
+}
+
+/// Where a framing pass over a log stopped ([`visit_records`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LogExtent {
+    /// CRC-verified records in the valid prefix.
+    pub(crate) records: u64,
+    /// Byte offset where the valid prefix ends.
+    pub(crate) end_offset: u64,
+    /// Bytes beyond `end_offset` dropped as a torn tail (0 = clean end).
+    pub(crate) torn_bytes: u64,
+}
+
+/// The framing loop behind every log reader: hands each CRC-verified
+/// `(tag, body)` of the longest valid prefix of `buf` to `visit`, in log
+/// order, and reports where the prefix ends. Torn tails end the walk
+/// cleanly; a CRC failure with data beyond it is mid-log corruption
+/// and fails hard, as does any error `visit` returns. Bodies are not
+/// decoded here — that is the visitor's choice.
+pub(crate) fn visit_records<'a>(
+    buf: &'a [u8],
+    mut visit: impl FnMut(u8, &'a [u8]) -> MasmResult<()>,
+) -> MasmResult<LogExtent> {
+    let mut pos = 0usize;
+    let mut records = 0u64;
+    let torn = loop {
+        match frame(&buf[pos..]) {
+            Framed::End => break false,
+            Framed::Torn => break true,
+            Framed::BadCrc { extent } => {
+                if buf[pos + extent..].iter().all(|&b| b == 0) {
+                    // Final record, partially persisted: torn tail.
+                    break true;
+                }
+                return Err(MasmError::Corrupt("WAL record CRC mismatch mid-log"));
+            }
+            Framed::Record { tag, body, used } => {
+                visit(tag, body)?;
+                records += 1;
+                pos += used;
+            }
+        }
+    };
+    Ok(LogExtent {
+        records,
+        end_offset: pos as u64,
+        torn_bytes: if torn { (buf.len() - pos) as u64 } else { 0 },
+    })
 }
 
 #[cfg(test)]

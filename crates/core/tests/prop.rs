@@ -30,7 +30,74 @@ fn op_strategy() -> impl Strategy<Value = UpdateOp> {
     ]
 }
 
+/// Multi-patch modifies with arbitrary field ids and value widths, on
+/// top of the schema-shaped ops above.
+fn any_op_strategy() -> impl Strategy<Value = UpdateOp> {
+    let patch = (any::<u16>(), proptest::collection::vec(any::<u8>(), 0..12))
+        .prop_map(|(field, value)| FieldPatch { field, value });
+    prop_oneof![
+        op_strategy(),
+        proptest::collection::vec(any::<u8>(), 0..64).prop_map(UpdateOp::Insert),
+        proptest::collection::vec(patch, 0..5).prop_map(UpdateOp::Modify),
+        proptest::collection::vec(any::<u8>(), 0..64).prop_map(UpdateOp::Replace),
+    ]
+}
+
+/// `validate` and `decode` agree on `buf`: both reject, or both accept
+/// with the same length (and `validate` reports the decoded timestamp).
+fn validate_agrees_with_decode(buf: &[u8]) -> TestCaseResult {
+    match (UpdateRecord::validate(buf), UpdateRecord::decode(buf)) {
+        (None, None) => {}
+        (Some((ts, len)), Some((u, used))) => {
+            prop_assert_eq!(ts, u.ts);
+            prop_assert_eq!(len, used);
+        }
+        (v, d) => prop_assert!(false, "validate {:?} vs decode {:?} on {:?}", v, d, buf),
+    }
+    Ok(())
+}
+
 proptest! {
+    /// The allocation-free validator accepts exactly what `decode`
+    /// accepts on arbitrary bytes — biased toward plausible inputs by
+    /// forcing the op tag (byte 16) into the known range half the time.
+    #[test]
+    fn update_validate_agrees_with_decode_on_arbitrary_bytes(
+        mut buf in proptest::collection::vec(any::<u8>(), 0..48),
+        tag in 0u8..8,
+    ) {
+        if buf.len() > 16 && tag < 4 {
+            buf[16] = tag;
+        }
+        validate_agrees_with_decode(&buf)?;
+    }
+
+    /// ... and on every encoded op variant, whole, cut at every byte,
+    /// with trailing bytes, and with one byte overwritten.
+    #[test]
+    fn update_validate_agrees_with_decode_on_encoded_records(
+        ts in any::<u64>(),
+        key in any::<u64>(),
+        op in any_op_strategy(),
+        tail in proptest::collection::vec(any::<u8>(), 0..4),
+        poke in (any::<usize>(), any::<u8>()),
+    ) {
+        let u = UpdateRecord::new(ts, key, op);
+        let mut buf = Vec::new();
+        u.encode_into(&mut buf);
+        prop_assert_eq!(UpdateRecord::validate(&buf), Some((ts, buf.len())));
+        for cut in 0..buf.len() {
+            validate_agrees_with_decode(&buf[..cut])?;
+        }
+        let whole = buf.len();
+        buf.extend_from_slice(&tail);
+        prop_assert_eq!(UpdateRecord::validate(&buf), Some((ts, whole)));
+        let (at, byte) = poke;
+        let at = at % buf.len();
+        buf[at] = byte;
+        validate_agrees_with_decode(&buf)?;
+    }
+
     /// encode/decode is the identity for arbitrary update records.
     #[test]
     fn update_codec_roundtrip(ts in 1u64..1000, key in any::<u64>(), op in op_strategy()) {
