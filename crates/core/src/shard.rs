@@ -868,4 +868,98 @@ mod tests {
         assert_eq!(r.route(10), 1);
         assert_eq!(r.route(20), 2);
     }
+
+    /// `sample_stats(2)` of the `masm-telemetry` stats tests, rebuilt
+    /// here so the per-shard NDJSON row is pinned end to end.
+    fn sample_stats() -> EngineStats {
+        use masm_storage::{
+            CacheStatsSnapshot, CompressionReport, IoStatsSnapshot, MergeReport, WearStats,
+        };
+        use masm_telemetry::{BufferStats, Histogram, OpLatencies, RunSetStats, WorkerStats};
+        let h = Histogram::new();
+        h.record(0);
+        h.record(100);
+        let hist = h.snapshot();
+        EngineStats {
+            at_ns: 2_000_000,
+            ingested_updates: 20,
+            ingested_bytes: 2000,
+            buffer: BufferStats {
+                updates: 3,
+                bytes: 300,
+                capacity_bytes: 4096,
+            },
+            runs: RunSetStats {
+                count: 2,
+                cached_bytes: 8192,
+                ssd_capacity_bytes: 1 << 20,
+            },
+            cache: CacheStatsSnapshot {
+                hits: 10,
+                misses: 2,
+                data_bytes: 128,
+                probation_bytes: 100,
+                protected_bytes: 28,
+                ..CacheStatsSnapshot::default()
+            },
+            merge: MergeReport {
+                inputs: 2,
+                fan_in: 2,
+                blocks_moved: 2,
+                bytes_moved: 200,
+                ..MergeReport::default()
+            },
+            compression: CompressionReport {
+                runs: 2,
+                blocks: 8,
+                raw_bytes: 8000,
+                stored_bytes: 3000,
+                ..CompressionReport::default()
+            },
+            ssd: IoStatsSnapshot {
+                write_ops: 14,
+                bytes_written: 14000,
+                sequential_ops: 14,
+                busy_ns: 20_000,
+                ..IoStatsSnapshot::default()
+            },
+            ssd_wear: WearStats {
+                max_writes_per_block: 3,
+                mean_writes_per_block: 1.5,
+                blocks_touched: 4,
+                cv: 0.3,
+            },
+            wal: IoStatsSnapshot {
+                write_ops: 20,
+                bytes_written: 800,
+                ..IoStatsSnapshot::default()
+            },
+            workers: WorkerStats {
+                threads: 2,
+                jobs_completed: 6,
+                flushes: 4,
+                merges: 2,
+                ..WorkerStats::default()
+            },
+            ops: OpLatencies {
+                ingest: hist,
+                get: hist,
+                scan_next: hist,
+                flush: hist,
+                migrate: hist,
+                block_fetch: hist,
+            },
+        }
+    }
+
+    #[test]
+    fn shard_row_matches_golden_output() {
+        let stats = ShardedStats {
+            total: sample_stats(),
+            per_shard: vec![sample_stats()],
+            shard_imbalance: 1.0,
+        };
+        let expected = r#"{"shard_id":0,"stats":{"at_ns":2000000,"random_writes":0,"ingested":{"updates":20,"bytes":2000},"buffer":{"updates":3,"bytes":300,"capacity_bytes":4096},"runs":{"count":2,"cached_bytes":8192,"ssd_capacity_bytes":1048576},"cache":{"hits":10,"misses":2,"insertions":0,"evictions":0,"promotions":0,"demotions":0,"rejected":0,"tier2_hits":0,"tier2_insertions":0,"tier2_evictions":0,"data_bytes":128,"probation_bytes":100,"protected_bytes":28,"meta_bytes":0,"disk_bytes":0,"tier2_bytes":0,"hit_rate":0.833333},"merge":{"inputs":2,"fan_in":2,"blocks_moved":2,"blocks_merged":0,"bytes_moved":200,"bytes_decoded":0,"entries_out":0,"peak_merge_entries":0},"compression":{"runs":2,"blocks":8,"raw_bytes":8000,"stored_bytes":3000,"blocks_identity":0,"blocks_delta":0,"blocks_lz":0,"codec_trials":0,"codec_trials_saved":0,"lz_probes_skipped":0,"ratio":0.375000},"ssd":{"read_ops":0,"write_ops":14,"bytes_read":0,"bytes_written":14000,"sequential_ops":14,"random_ops":0,"random_writes":0,"busy_ns":20000,"max_queue_depth":0,"queue_depth_sum":0,"max_block_wear":0,"touched_blocks":0},"ssd_wear":{"max_writes_per_block":3,"mean_writes_per_block":1.500000,"blocks_touched":4,"cv":0.300000},"wal":{"read_ops":0,"write_ops":20,"bytes_read":0,"bytes_written":800,"sequential_ops":0,"random_ops":0,"random_writes":0,"busy_ns":0,"max_queue_depth":0,"queue_depth_sum":0,"max_block_wear":0,"touched_blocks":0},"workers":{"threads":2,"queue_depth":0,"backlog_bytes":0,"jobs_completed":6,"jobs_retried":0,"jobs_failed":0,"flushes":4,"merges":2,"migrations":0,"epoch_lag":0},"ops":{"ingest":{"count":2,"sum":100,"max":100,"p50":0,"p95":100,"p99":100,"mean":50.000000},"get":{"count":2,"sum":100,"max":100,"p50":0,"p95":100,"p99":100,"mean":50.000000},"scan_next":{"count":2,"sum":100,"max":100,"p50":0,"p95":100,"p99":100,"mean":50.000000},"flush":{"count":2,"sum":100,"max":100,"p50":0,"p95":100,"p99":100,"mean":50.000000},"migrate":{"count":2,"sum":100,"max":100,"p50":0,"p95":100,"p99":100,"mean":50.000000},"block_fetch":{"count":2,"sum":100,"max":100,"p50":0,"p95":100,"p99":100,"mean":50.000000}}}}"#;
+        assert_eq!(stats.shard_row(0), expected);
+    }
 }

@@ -885,6 +885,20 @@ mod tests {
         assert!(d.ssd_write_bytes_per_sec() > 0.0);
     }
 
+    /// The NDJSON layout benches and CI greps depend on, byte for byte.
+    const GOLDEN_ENGINE_JSON: &str = r#"{"at_ns":2000000,"random_writes":0,"ingested":{"updates":20,"bytes":2000},"buffer":{"updates":3,"bytes":300,"capacity_bytes":4096},"runs":{"count":2,"cached_bytes":8192,"ssd_capacity_bytes":1048576},"cache":{"hits":10,"misses":2,"insertions":0,"evictions":0,"promotions":0,"demotions":0,"rejected":0,"tier2_hits":0,"tier2_insertions":0,"tier2_evictions":0,"data_bytes":128,"probation_bytes":100,"protected_bytes":28,"meta_bytes":0,"disk_bytes":0,"tier2_bytes":0,"hit_rate":0.833333},"merge":{"inputs":2,"fan_in":2,"blocks_moved":2,"blocks_merged":0,"bytes_moved":200,"bytes_decoded":0,"entries_out":0,"peak_merge_entries":0},"compression":{"runs":2,"blocks":8,"raw_bytes":8000,"stored_bytes":3000,"blocks_identity":0,"blocks_delta":0,"blocks_lz":0,"codec_trials":0,"codec_trials_saved":0,"lz_probes_skipped":0,"ratio":0.375000},"ssd":{"read_ops":0,"write_ops":14,"bytes_read":0,"bytes_written":14000,"sequential_ops":14,"random_ops":0,"random_writes":0,"busy_ns":20000,"max_queue_depth":0,"queue_depth_sum":0,"max_block_wear":0,"touched_blocks":0},"ssd_wear":{"max_writes_per_block":3,"mean_writes_per_block":1.500000,"blocks_touched":4,"cv":0.300000},"wal":{"read_ops":0,"write_ops":20,"bytes_read":0,"bytes_written":800,"sequential_ops":0,"random_ops":0,"random_writes":0,"busy_ns":0,"max_queue_depth":0,"queue_depth_sum":0,"max_block_wear":0,"touched_blocks":0},"workers":{"threads":2,"queue_depth":0,"backlog_bytes":0,"jobs_completed":6,"jobs_retried":0,"jobs_failed":0,"flushes":4,"merges":2,"migrations":0,"epoch_lag":0},"ops":{"ingest":{"count":2,"sum":100,"max":100,"p50":0,"p95":100,"p99":100,"mean":50.000000},"get":{"count":2,"sum":100,"max":100,"p50":0,"p95":100,"p99":100,"mean":50.000000},"scan_next":{"count":2,"sum":100,"max":100,"p50":0,"p95":100,"p99":100,"mean":50.000000},"flush":{"count":2,"sum":100,"max":100,"p50":0,"p95":100,"p99":100,"mean":50.000000},"migrate":{"count":2,"sum":100,"max":100,"p50":0,"p95":100,"p99":100,"mean":50.000000},"block_fetch":{"count":2,"sum":100,"max":100,"p50":0,"p95":100,"p99":100,"mean":50.000000}}}"#;
+
+    #[test]
+    fn engine_stats_json_matches_golden_output() {
+        assert_eq!(sample_stats(2).to_json(), GOLDEN_ENGINE_JSON);
+    }
+
+    #[test]
+    fn stats_delta_json_matches_golden_output() {
+        let expected = r#"{"elapsed_ns":3000000,"ingested_updates":30,"ingested_bytes":3000,"updates_per_sec":10000.000000,"cache":{"hits":15,"misses":3,"insertions":0,"evictions":0,"promotions":0,"demotions":0,"rejected":0,"tier2_hits":0,"tier2_insertions":0,"tier2_evictions":0,"data_bytes":128,"probation_bytes":100,"protected_bytes":28,"meta_bytes":0,"disk_bytes":0,"tier2_bytes":0,"hit_rate":0.833333},"merge":{"inputs":0,"fan_in":2,"blocks_moved":3,"blocks_merged":0,"bytes_moved":300,"bytes_decoded":0,"entries_out":0,"peak_merge_entries":0},"compression":{"runs":3,"blocks":12,"raw_bytes":12000,"stored_bytes":4500,"blocks_identity":0,"blocks_delta":0,"blocks_lz":0,"codec_trials":0,"codec_trials_saved":0,"lz_probes_skipped":0,"ratio":0.375000},"ssd":{"read_ops":0,"write_ops":21,"bytes_read":0,"bytes_written":21000,"sequential_ops":21,"random_ops":0,"random_writes":0,"busy_ns":30000,"max_queue_depth":0,"queue_depth_sum":0,"max_block_wear":0,"touched_blocks":0},"wal":{"read_ops":0,"write_ops":30,"bytes_read":0,"bytes_written":1200,"sequential_ops":0,"random_ops":0,"random_writes":0,"busy_ns":0,"max_queue_depth":0,"queue_depth_sum":0,"max_block_wear":0,"touched_blocks":0},"workers":{"threads":2,"queue_depth":0,"backlog_bytes":0,"jobs_completed":9,"jobs_retried":0,"jobs_failed":0,"flushes":6,"merges":3,"migrations":0,"epoch_lag":0},"ops":{"ingest":{"count":3,"sum_ns":600},"get":{"count":3,"sum_ns":600},"scan_next":{"count":3,"sum_ns":600},"flush":{"count":3,"sum_ns":600},"migrate":{"count":3,"sum_ns":600},"block_fetch":{"count":3,"sum_ns":600}}}"#;
+        assert_eq!(sample_stats(4).delta(&sample_stats(1)).to_json(), expected);
+    }
+
     #[test]
     fn stats_delta_roundtrips_through_json() {
         let d = sample_stats(4).delta(&sample_stats(1));
