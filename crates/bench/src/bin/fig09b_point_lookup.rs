@@ -188,9 +188,8 @@ fn main() {
         };
         for &phase in phases {
             dev.reset_stats();
-            if let Some(c) = &cache {
-                c.reset_stats();
-            }
+            let cache_stats = || cache.as_ref().map(|c| c.stats()).unwrap_or_default();
+            let cache_before = cache_stats();
             let start = session.now();
             let mut found = 0u64;
             for &p in &probes {
@@ -205,7 +204,7 @@ fn main() {
                 found += (!hits.is_empty()) as u64;
             }
             let stats = dev.stats();
-            let cs = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
+            let cs = cache_stats().delta(&cache_before);
             rows.push(Row {
                 scheme,
                 phase,
@@ -293,7 +292,7 @@ fn main() {
             ssd_reads: stats.read_ops,
             bytes_read: stats.bytes_read,
             avg_ns: (session.now() - start) as f64 / eng_probes.len() as f64,
-            mem_bytes: engine.cache_stats().meta_bytes,
+            mem_bytes: engine.stats().cache.meta_bytes,
         });
     }
 

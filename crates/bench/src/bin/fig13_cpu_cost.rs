@@ -81,7 +81,7 @@ fn main() {
         });
         env.fill_cache(0.5, 42);
         let session = env.machine.session();
-        let comp = env.engine.compression_stats();
+        let comp = env.engine.stats().compression;
         let updates_cached = env.engine.ingest_stats().0;
 
         let t_scan = env.time_masm_scan(begin, end).max(1);

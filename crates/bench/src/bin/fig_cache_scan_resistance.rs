@@ -124,7 +124,7 @@ fn run_workload(
     sweep(&cache);
 
     // Measured rounds: one hot pass interleaved with one cold sweep.
-    cache.reset_stats();
+    let measured_from = cache.stats();
     let reads_before = dev.stats().read_ops;
     let mut hot_hits = 0u64;
     let mut hot_accesses = 0u64;
@@ -151,7 +151,7 @@ fn run_workload(
             .u64("tier2_hits", after.tier2_hits - before.tier2_hits);
         ts.row(&row.finish()).unwrap();
     }
-    let stats = cache.stats();
+    let stats = cache.stats().delta(&measured_from);
     Row {
         policy: policy_label,
         codec,

@@ -50,48 +50,38 @@
 //! across recovery), so entries of a deleted run can never be wrongly
 //! served; they simply age out.
 //!
-//! Hit/miss/promotion/demotion/tier-2 counters live in
-//! [`masm_storage::stats::CacheStats`] so benchmarks report cache
-//! effectiveness alongside device I/O statistics.
+//! The hit/miss/promotion/demotion/tier-2 counters are the cache's own
+//! telemetry metrics: [`BlockCache::stats`] reads them, and
+//! [`BlockCache::bind_registry`] exports the very same atomics as the
+//! `cache.*` family, so the snapshot and the registry cannot disagree.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use masm_storage::{CacheStats, CacheStatsSnapshot};
-use masm_telemetry::{Counter, Gauge, Registry, Unit};
+use masm_storage::CacheStatsSnapshot;
+use masm_telemetry::{counter_set, Registry};
 use parking_lot::Mutex;
 
 use crate::block::Entry;
 
-/// Registry-backed metric handles, bound once via
-/// [`BlockCache::bind_registry`]. The cache pushes its own counters at
-/// the point each event happens (hits and misses on `get`, insertions
-/// on admit); byte gauges refresh whenever [`BlockCache::stats`] runs.
-struct BoundMetrics {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    tier2_hits: Arc<Counter>,
-    insertions: Arc<Counter>,
-    evictions: Arc<Counter>,
-    data_bytes: Arc<Gauge>,
-    meta_bytes: Arc<Gauge>,
-    tier2_bytes: Arc<Gauge>,
-}
-
-impl BoundMetrics {
-    fn new(registry: &Registry) -> Self {
-        let c = |name, help| registry.counter("cache", name, Unit::Ops, help);
-        let g = |name, help| registry.gauge("cache", name, Unit::Bytes, help);
-        BoundMetrics {
-            hits: c("hits", "tier-1 block cache hits"),
-            misses: c("misses", "block cache misses (device reads)"),
-            tier2_hits: c("tier2_hits", "victim-tier hits served by a decode"),
-            insertions: c("insertions", "tier-1 admissions"),
-            evictions: c("evictions", "tier-1 evictions"),
-            data_bytes: g("data_bytes", "resident decoded block bytes (tier 1)"),
-            meta_bytes: g("meta_bytes", "pinned run metadata bytes"),
-            tier2_bytes: g("tier2_bytes", "resident stored bytes (victim tier)"),
-        }
+counter_set! {
+    /// The cache's metrics: event counters bumped where each event
+    /// happens, and byte gauges refreshed whenever [`BlockCache::stats`]
+    /// runs.
+    struct CacheMetrics for CacheStatsSnapshot in "cache" {
+        hits: counter(Ops, "tier-1 block cache hits"),
+        misses: counter(Ops, "block cache misses (device reads)"),
+        insertions: counter(Ops, "tier-1 admissions"),
+        evictions: counter(Ops, "tier-1 evictions"),
+        promotions: counter(Ops, "probation to protected promotions (SLRU)"),
+        demotions: counter(Ops, "protected to probation demotions (SLRU)"),
+        rejected: counter(Ops, "oversized blocks refused admission"),
+        tier2_hits: counter(Ops, "victim-tier hits served by a decode"),
+        tier2_insertions: counter(Ops, "tier-1 victims demoted into the victim tier"),
+        tier2_evictions: counter(Ops, "entries aged out of the victim tier"),
+        data_bytes: level(Bytes, "resident decoded block bytes (tier 1)"),
+        meta_bytes: level(Bytes, "pinned run metadata bytes"),
+        tier2_bytes: level(Bytes, "resident stored bytes (victim tier)"),
     }
 }
 
@@ -321,14 +311,11 @@ pub struct BlockCache {
     tier2_per_shard: usize,
     policy: CachePolicy,
     tick: std::sync::atomic::AtomicU64,
-    stats: CacheStats,
+    metrics: CacheMetrics,
     /// Pinned run-metadata bytes (zone maps + bloom filters) accounted
     /// against this cache, kept separate from the evictable data
     /// blocks — see [`BlockCache::retain_meta_bytes`].
     meta_bytes: std::sync::atomic::AtomicUsize,
-    /// Registry-bound metric handles, set once by
-    /// [`BlockCache::bind_registry`].
-    bound: std::sync::OnceLock<BoundMetrics>,
 }
 
 impl std::fmt::Debug for BlockCache {
@@ -339,7 +326,7 @@ impl std::fmt::Debug for BlockCache {
             .field("protected_per_shard", &self.protected_per_shard)
             .field("tier2_per_shard", &self.tier2_per_shard)
             .field("policy", &self.policy)
-            .field("stats", &self.stats.snapshot())
+            .field("stats", &self.metrics.snapshot())
             .finish()
     }
 }
@@ -375,17 +362,17 @@ impl BlockCache {
             tier2_per_shard: cfg.tier2_bytes / n_shards,
             policy: cfg.policy,
             tick: std::sync::atomic::AtomicU64::new(0),
-            stats: CacheStats::default(),
+            metrics: CacheMetrics::new(),
             meta_bytes: std::sync::atomic::AtomicUsize::new(0),
-            bound: std::sync::OnceLock::new(),
         }
     }
 
-    /// Register this cache's counters and gauges with an engine metric
-    /// [`Registry`]. Idempotent; only the first registry wins (a cache
-    /// belongs to one engine).
+    /// Export this cache's counters and gauges as the `cache.*` family
+    /// of an engine metric [`Registry`]. Idempotent; a registry that
+    /// already holds a `cache.*` metric keeps it (a cache belongs to one
+    /// engine).
     pub fn bind_registry(&self, registry: &Registry) {
-        let _ = self.bound.get_or_init(|| BoundMetrics::new(registry));
+        self.metrics.attach(registry);
     }
 
     /// The tier-1 replacement policy.
@@ -415,43 +402,30 @@ impl BlockCache {
             if self.policy == CachePolicy::Slru && e.seg == Segment::Probation {
                 // reseat() re-ticks the entry, so no touch() is needed.
                 shard.reseat(key, Segment::Protected, tick);
-                self.stats.record_promotion();
+                self.metrics.promotions.incr();
                 self.rebalance_protected(&mut shard);
             } else {
                 shard.touch(key, tick);
             }
-            self.stats.record_hit();
-            if let Some(b) = self.bound.get() {
-                b.hits.incr();
-            }
+            self.metrics.hits.incr();
             return Some(block);
         }
         if let Some(victim) = shard.tier2_remove(key) {
             if let Some(entries) = victim.stored.decode() {
                 let entries: CachedBlock = Arc::new(entries);
-                self.stats.record_tier2_hit();
-                if let Some(b) = self.bound.get() {
-                    b.tier2_hits.incr();
-                }
+                self.metrics.tier2_hits.incr();
                 // Readmit to *probation*, not protected: a cyclic sweep
                 // served out of tier 2 must keep churning the probation
                 // segment rather than flooding protected and displacing
                 // the hot set. A further tier-1 hit promotes as usual.
                 let weight = self.charge_of(&entries, &victim.stored);
                 self.admit(&mut shard, key, Arc::clone(&entries), victim.stored, weight);
-                // Readmission is a tier-1 insertion too — keeps the
-                // insertions/evictions pair honest for consumers
-                // estimating admission rates.
-                self.stats.record_insertion();
                 return Some(entries);
             }
             // Undecodable tier-2 bytes (cannot happen for bytes that
             // were CRC-verified at admission): drop the entry, miss.
         }
-        self.stats.record_miss();
-        if let Some(b) = self.bound.get() {
-            b.misses.incr();
-        }
+        self.metrics.misses.incr();
         None
     }
 
@@ -476,10 +450,7 @@ impl BlockCache {
     /// [`BlockCache::contains`] and goes straight to the device. Keeps
     /// hit/miss accounting truthful for scans.
     pub fn record_bypass_miss(&self) {
-        self.stats.record_miss();
-        if let Some(b) = self.bound.get() {
-            b.misses.incr();
-        }
+        self.metrics.misses.incr();
     }
 
     /// Whether an entry's stored copy is worth retaining for demotion:
@@ -523,19 +494,21 @@ impl BlockCache {
             // Reject before touching any resident copy under this key:
             // a block's content never changes, so what is cached stays
             // valid and must survive the rejection.
-            self.stats.record_rejected();
+            self.metrics.rejected.incr();
             return;
         }
         shard.remove(key);
         shard.tier2_remove(key);
         self.admit(&mut shard, key, block, stored, weight);
-        self.stats.record_insertion();
     }
 
     /// Place an entry of precomputed charge `weight` into the probation
     /// segment, evicting (and demoting victims to tier 2) until it
-    /// fits. Caller has already removed any previous entry under `key`
-    /// and checked the weight against the shard capacity.
+    /// fits, and count the tier-1 insertion (a tier-2 readmission is one
+    /// too — keeps the insertions/evictions pair honest for consumers
+    /// estimating admission rates). Caller has already removed any
+    /// previous entry under `key` and checked the weight against the
+    /// shard capacity.
     fn admit(
         &self,
         shard: &mut Shard,
@@ -547,15 +520,10 @@ impl BlockCache {
         while shard.t1_bytes() + weight > self.capacity_per_shard {
             let Some(victim) = shard.victim() else { break };
             let entry = shard.remove(victim).expect("victim is resident");
-            self.stats.record_eviction();
-            if let Some(b) = self.bound.get() {
-                b.evictions.incr();
-            }
+            self.metrics.evictions.incr();
             self.demote_to_tier2(shard, victim, entry);
         }
-        if let Some(b) = self.bound.get() {
-            b.insertions.incr();
-        }
+        self.metrics.insertions.incr();
         let tick = self.next_tick();
         let disk_len = stored.len() as u32;
         *shard.seg_bytes(Segment::Probation) += weight;
@@ -585,7 +553,7 @@ impl BlockCache {
             };
             let key = *key;
             shard.reseat(key, Segment::Probation, self.next_tick());
-            self.stats.record_demotion();
+            self.metrics.demotions.incr();
         }
     }
 
@@ -602,7 +570,7 @@ impl BlockCache {
                 .expect("tier-2 bytes imply an entry")
                 .1;
             shard.tier2_remove(victim);
-            self.stats.record_tier2_eviction();
+            self.metrics.tier2_evictions.incr();
         }
         let tick = self.next_tick();
         shard.tier2_bytes += len;
@@ -614,7 +582,7 @@ impl BlockCache {
                 last_used: tick,
             },
         );
-        self.stats.record_tier2_insertion();
+        self.metrics.tier2_insertions.incr();
     }
 
     /// Approximate resident bytes charged to tier 1: the evictable
@@ -669,32 +637,28 @@ impl BlockCache {
     /// gauges, the data/metadata byte split, and the on-disk
     /// (compressed) size of the resident tier-1 blocks.
     pub fn stats(&self) -> CacheStatsSnapshot {
-        let mut snap = self.stats.snapshot();
-        let (mut prob, mut prot, mut disk, mut t2) = (0usize, 0usize, 0u64, 0usize);
+        let (mut prob, mut prot, mut disk, mut t2) = (0u64, 0u64, 0u64, 0u64);
         for shard in &self.shards {
             let s = shard.lock();
-            prob += s.probation_bytes;
-            prot += s.protected_bytes;
+            prob += s.probation_bytes as u64;
+            prot += s.protected_bytes as u64;
             disk += s.disk_bytes;
-            t2 += s.tier2_bytes;
+            t2 += s.tier2_bytes as u64;
         }
-        snap.probation_bytes = prob as u64;
-        snap.protected_bytes = prot as u64;
-        snap.data_bytes = (prob + prot) as u64;
-        snap.meta_bytes = self.meta_bytes() as u64;
-        snap.disk_bytes = disk;
-        snap.tier2_bytes = t2 as u64;
-        if let Some(b) = self.bound.get() {
-            b.data_bytes.set(snap.data_bytes);
-            b.meta_bytes.set(snap.meta_bytes);
-            b.tier2_bytes.set(snap.tier2_bytes);
-        }
+        let m = &self.metrics;
+        let snap = CacheStatsSnapshot {
+            probation_bytes: prob,
+            protected_bytes: prot,
+            data_bytes: prob + prot,
+            meta_bytes: self.meta_bytes() as u64,
+            disk_bytes: disk,
+            tier2_bytes: t2,
+            ..m.snapshot()
+        };
+        m.data_bytes.set(snap.data_bytes);
+        m.meta_bytes.set(snap.meta_bytes);
+        m.tier2_bytes.set(snap.tier2_bytes);
         snap
-    }
-
-    /// Zero the counters (resident blocks are kept).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
     }
 
     /// Drop every cached block in both tiers (counters are kept).

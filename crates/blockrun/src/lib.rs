@@ -40,10 +40,10 @@
 //!   under a segmented (probation/protected) SLRU policy, so one-shot
 //!   sweeps cannot displace the hot set; tier 2 optionally holds
 //!   tier-1 victims' *stored* (post-codec) bytes, serving re-references
-//!   with one codec decode instead of a device read. Counters are
-//!   surfaced through [`masm_storage::stats::CacheStats`] so benchmarks
-//!   can report cache effectiveness. Warm lookups issue zero device
-//!   reads.
+//!   with one codec decode instead of a device read. Its counters are
+//!   telemetry metrics, read by [`BlockCache::stats`] and exported as
+//!   the engine registry's `cache.*` family. Warm lookups issue zero
+//!   device reads.
 //!
 //! `masm-core` materializes and scans all of its runs through this
 //! crate; see `masm_core::run` for the engine-facing wrapper.

@@ -50,12 +50,11 @@ use parking_lot::{Condvar, Mutex};
 use masm_blockrun::BlockCache;
 use masm_pagestore::{Key, Page, Record, Schema, TableHeap, TsRangeScan};
 use masm_storage::{
-    CacheStatsSnapshot, CompressionReport, IoSession, MergeReport, Ns, SessionHandle, SimDevice,
-    TrackedMutex,
+    CompressionReport, IoSession, MergeReport, Ns, SessionHandle, SimDevice, TrackedMutex,
 };
 use masm_telemetry::{
-    current_tid, BufferStats, Counter, EngineStats, Gauge, Histogram, OpLatencies, Registry,
-    RunSetStats, Timer, Tracer, TrackId, Unit, WorkerStats,
+    counter_set, current_tid, BufferStats, Counter, EngineStats, Gauge, Histogram, OpLatencies,
+    Registry, RunSetStats, Timer, Tracer, TrackId, Unit, WorkerStats,
 };
 
 use crate::algo::RunSet;
@@ -76,8 +75,10 @@ use crate::wal::{Wal, WalRecord};
 use crate::worker::{Job, JobKind, WorkerHandle, WorkerPool, MAX_JOB_ATTEMPTS};
 
 /// The engine's metric families: a [`Registry`] for export plus direct
-/// `Arc<Histogram>` handles for the hot paths (registry lookup never
-/// happens per operation). All six histograms record **virtual-ns**.
+/// handles for the hot paths (registry lookup never happens per
+/// operation). Every counter [`MasmEngine::stats`] reports lives here
+/// (or in the block cache and worker pool, which register their own)
+/// and nowhere else. All six histograms record **virtual-ns**.
 struct EngineMetrics {
     registry: Registry,
     ingest: Arc<Histogram>,
@@ -89,11 +90,42 @@ struct EngineMetrics {
     /// Epochs the oldest pinned query snapshot trails the engine's
     /// current epoch (0 when no query is active).
     epoch_lag: Arc<Gauge>,
-    merge_inputs: Arc<Counter>,
-    merge_blocks_moved: Arc<Counter>,
-    merge_blocks_merged: Arc<Counter>,
-    merge_bytes_decoded: Arc<Counter>,
+    ingested_updates: Arc<Counter>,
+    ingested_bytes: Arc<Counter>,
+    merge: MergeCounters,
+    compression: CompressionCounters,
     recovery: RecoveryCounters,
+}
+
+counter_set! {
+    /// Cumulative totals of every planned merge (family `merge`).
+    struct MergeCounters for MergeReport in "merge" {
+        inputs: counter(Ops, "runs consumed by planned merges"),
+        fan_in: peak(Ops, "largest merge fan-in observed"),
+        blocks_moved: counter(Ops, "blocks relinked verbatim"),
+        blocks_merged: counter(Ops, "blocks decoded and re-encoded"),
+        bytes_moved: counter(Bytes, "encoded bytes relinked verbatim"),
+        bytes_decoded: counter(Bytes, "bytes decoded by merges"),
+        entries_out: counter(Ops, "entries written by planned merges"),
+        peak_merge_entries: peak(Ops, "most update records resident in one merge pipeline"),
+    }
+}
+
+counter_set! {
+    /// Codec accounting of every run built or recovered (family
+    /// `compression`).
+    struct CompressionCounters for CompressionReport in "compression" {
+        runs: counter(Ops, "runs accounted"),
+        blocks: counter(Ops, "data blocks accounted"),
+        raw_bytes: counter(Bytes, "raw (pre-codec) data-block bytes"),
+        stored_bytes: counter(Bytes, "stored (post-codec) data-block bytes"),
+        blocks_identity: counter(Ops, "blocks stored uncompressed"),
+        blocks_delta: counter(Ops, "blocks stored delta+varint-coded"),
+        blocks_lz: counter(Ops, "blocks stored LZ-coded"),
+        codec_trials: counter(Ops, "trial encodes the adaptive selector ran"),
+        codec_trials_saved: counter(Ops, "trial encodes the sample-based selector avoided"),
+        lz_probes_skipped: counter(Ops, "LZ trials skipped by the entropy probe"),
+    }
 }
 
 /// Crash-recovery counters (family `recovery`). Registered on every
@@ -110,10 +142,15 @@ struct RecoveryCounters {
 }
 
 impl EngineMetrics {
-    fn new() -> Self {
+    /// A fresh registry holding the engine's families and `cache`'s.
+    fn new(cache: &BlockCache) -> Self {
         let registry = Registry::new();
         let h = |name, help| registry.histogram("op", name, Unit::VirtualNs, help);
-        let c = |name, unit, help| registry.counter("merge", name, unit, help);
+        let merge = MergeCounters::new();
+        merge.attach(&registry);
+        let compression = CompressionCounters::new();
+        compression.attach(&registry);
+        cache.bind_registry(&registry);
         EngineMetrics {
             ingest: h(
                 "ingest",
@@ -130,10 +167,20 @@ impl EngineMetrics {
                 Unit::Ops,
                 "epochs the oldest pinned query snapshot trails the engine",
             ),
-            merge_inputs: c("inputs", Unit::Ops, "runs consumed by planned merges"),
-            merge_blocks_moved: c("blocks_moved", Unit::Ops, "blocks relinked verbatim"),
-            merge_blocks_merged: c("blocks_merged", Unit::Ops, "blocks decoded and re-encoded"),
-            merge_bytes_decoded: c("bytes_decoded", Unit::Bytes, "bytes decoded by merges"),
+            ingested_updates: registry.counter(
+                "ingested",
+                "updates",
+                Unit::Ops,
+                "updates ingested",
+            ),
+            ingested_bytes: registry.counter(
+                "ingested",
+                "bytes",
+                Unit::Bytes,
+                "logical bytes of ingested updates",
+            ),
+            merge,
+            compression,
             recovery: {
                 let r = |name, unit, help| registry.counter("recovery", name, unit, help);
                 RecoveryCounters {
@@ -295,21 +342,11 @@ pub struct MasmEngine {
     /// This engine's shard index in a sharded deployment (0 when the
     /// engine stands alone). Tags every job handed to the shared pool.
     shard_id: usize,
-    ingested_updates: AtomicU64,
-    ingested_bytes: AtomicU64,
     /// Last commit timestamp per key, for first-committer-wins snapshot
     /// isolation (§3.6). A production system would truncate this by the
     /// oldest active transaction; we keep it simple.
     commit_index: Mutex<std::collections::HashMap<Key, Timestamp>>,
-    /// Outcome of the most recent planned run merge (2-pass merge or
-    /// compaction).
-    last_merge: Mutex<Option<MergeReport>>,
-    /// Cumulative totals across every planned merge this engine ran.
-    merge_totals: Mutex<MergeReport>,
-    /// Cumulative codec accounting across every run this engine built
-    /// (or recovered): raw vs stored data-block bytes, blocks per codec.
-    compression_totals: Mutex<CompressionReport>,
-    /// Per-operation latency histograms + the metric registry behind
+    /// The metric registry and every counter behind
     /// [`MasmEngine::stats`].
     metrics: EngineMetrics,
     /// Optional `masm-trace` flight recorder
@@ -384,6 +421,7 @@ impl MasmEngine {
         // no-op — another engine's accounting must not be rewritten.
         ssd.prime_head_position_if_unset(cfg.ssd_region_base);
         let cache = Arc::new(BlockCache::with_config(cfg.cache_config()));
+        let metrics = EngineMetrics::new(&cache);
         let engine = Arc::new(MasmEngine {
             heap,
             ssd,
@@ -408,29 +446,20 @@ impl MasmEngine {
             epoch: AtomicU64::new(0),
             workers: OnceLock::new(),
             shard_id,
-            ingested_updates: AtomicU64::new(0),
-            ingested_bytes: AtomicU64::new(0),
             commit_index: Mutex::new(std::collections::HashMap::new()),
-            last_merge: Mutex::new(None),
-            merge_totals: Mutex::new(MergeReport::default()),
-            compression_totals: Mutex::new(CompressionReport::default()),
-            metrics: EngineMetrics::new(),
+            metrics,
             tracer: OnceLock::new(),
             compact_flow: AtomicU64::new(0),
             migrate_flow: AtomicU64::new(0),
         });
         if spawn_workers {
             Self::start_workers(&engine);
-        } else {
-            engine.cache.bind_registry(&engine.metrics.registry);
         }
         Ok(engine)
     }
 
-    /// Wire subsystem metrics into the engine registry and, when
-    /// configured, spawn the background worker pool.
+    /// Spawn the background worker pool when configured.
     fn start_workers(engine: &Arc<Self>) {
-        engine.cache.bind_registry(&engine.metrics.registry);
         if engine.cfg.background_workers > 0 {
             let pool = WorkerPool::new(
                 engine.cfg.background_workers,
@@ -723,47 +752,10 @@ impl MasmEngine {
         &self.cache
     }
 
-    /// Hit/miss counters of the block cache, including the split
-    /// between evictable data-block bytes and pinned run-metadata bytes
-    /// (zone maps + bloom filters).
-    pub fn cache_stats(&self) -> CacheStatsSnapshot {
-        self.cache.stats()
-    }
-
-    /// Outcome of the most recent planned run merge (2-pass merge or
-    /// compaction), if any has run.
-    pub fn last_merge_report(&self) -> Option<MergeReport> {
-        *self.last_merge.lock()
-    }
-
-    /// Cumulative merge totals across the engine's lifetime.
-    pub fn merge_stats(&self) -> MergeReport {
-        *self.merge_totals.lock()
-    }
-
-    /// Cumulative codec accounting over every run this engine built or
-    /// recovered: raw vs stored data-block bytes and per-codec block
-    /// counts ([`CompressionReport::ratio`] is the on-disk compression
-    /// ratio the configured [`crate::config::CodecChoice`] achieved).
-    pub fn compression_stats(&self) -> CompressionReport {
-        *self.compression_totals.lock()
-    }
-
-    fn record_merge(&self, report: MergeReport) {
-        *self.last_merge.lock() = Some(report);
-        self.merge_totals.lock().absorb(&report);
-        self.metrics.merge_inputs.add(report.inputs as u64);
-        self.metrics.merge_blocks_moved.add(report.blocks_moved);
-        self.metrics.merge_blocks_merged.add(report.blocks_merged);
-        self.metrics.merge_bytes_decoded.add(report.bytes_decoded);
-    }
-
     /// Fold a newly built (or recovered) run's codec accounting into
     /// the engine totals.
     fn record_compression(&self, run: &SortedRun) {
-        self.compression_totals
-            .lock()
-            .absorb(&run.meta.compression());
+        self.metrics.compression.record(&run.meta.compression());
     }
 
     /// Pin a run's metadata footprint (zone maps + bloom) in the cache
@@ -815,8 +807,8 @@ impl MasmEngine {
     /// write-amplification accounting).
     pub fn ingest_stats(&self) -> (u64, u64) {
         (
-            self.ingested_updates.load(Ordering::Relaxed),
-            self.ingested_bytes.load(Ordering::Relaxed),
+            self.metrics.ingested_updates.get(),
+            self.metrics.ingested_bytes.get(),
         )
     }
 
@@ -880,13 +872,13 @@ impl MasmEngine {
         let wal = self.wal.device().stats();
         EngineStats {
             at_ns: self.ssd.clock().now(),
-            ingested_updates: self.ingested_updates.load(Ordering::Relaxed),
-            ingested_bytes: self.ingested_bytes.load(Ordering::Relaxed),
+            ingested_updates: self.metrics.ingested_updates.get(),
+            ingested_bytes: self.metrics.ingested_bytes.get(),
             buffer,
             runs,
             cache: self.cache.stats(),
-            merge: *self.merge_totals.lock(),
-            compression: *self.compression_totals.lock(),
+            merge: self.metrics.merge.snapshot(),
+            compression: self.metrics.compression.snapshot(),
             ssd: self.ssd.stats(),
             ssd_wear: self.ssd.wear_stats(),
             wal,
@@ -895,7 +887,8 @@ impl MasmEngine {
         }
     }
 
-    /// The engine's metric registry (six `op.*` latency families), for
+    /// The engine's metric registry — the `op.*` latency histograms
+    /// and every counter and gauge behind [`MasmEngine::stats`] — for
     /// catalog-style export: walk it with [`Registry::for_each`].
     pub fn metrics_registry(&self) -> &Registry {
         &self.metrics.registry
@@ -995,9 +988,8 @@ impl MasmEngine {
             (update, seal)
         };
         let ts = update.ts;
-        self.ingested_updates.fetch_add(1, Ordering::Relaxed);
-        self.ingested_bytes
-            .fetch_add(update.encoded_len() as u64, Ordering::Relaxed);
+        self.metrics.ingested_updates.incr();
+        self.metrics.ingested_bytes.add(update.encoded_len() as u64);
         // The WAL write happens outside the state lock; appenders
         // reserve disjoint offsets, so ordering across threads is
         // whatever the offsets say — recovery filters buffer-resident
@@ -1371,7 +1363,7 @@ impl MasmEngine {
         if let Some(h) = self.workers.get() {
             h.pool().counters(self.shard_id).merges.incr();
         }
-        self.record_merge(report);
+        self.metrics.merge.record(&report);
         self.quiesce.notify_all();
         Ok(report)
     }
@@ -2201,10 +2193,10 @@ impl MasmEngine {
         // accounting (zone maps + blooms live as long as the runs do),
         // and rebuild the codec accounting from their zone maps.
         let cache = Arc::new(BlockCache::with_config(cfg.cache_config()));
-        let mut compression = CompressionReport::default();
+        let metrics = EngineMetrics::new(&cache);
         for r in runs.runs() {
             cache.retain_meta_bytes(r.memory_bytes());
-            compression.absorb(&r.meta.compression());
+            metrics.compression.record(&r.meta.compression());
         }
 
         let engine = Arc::new(MasmEngine {
@@ -2231,13 +2223,8 @@ impl MasmEngine {
             epoch: AtomicU64::new(0),
             workers: OnceLock::new(),
             shard_id,
-            ingested_updates: AtomicU64::new(0),
-            ingested_bytes: AtomicU64::new(0),
             commit_index: Mutex::new(std::collections::HashMap::new()),
-            last_merge: Mutex::new(None),
-            merge_totals: Mutex::new(MergeReport::default()),
-            compression_totals: Mutex::new(compression),
-            metrics: EngineMetrics::new(),
+            metrics,
             tracer: OnceLock::new(),
             compact_flow: AtomicU64::new(0),
             migrate_flow: AtomicU64::new(0),
@@ -2247,8 +2234,6 @@ impl MasmEngine {
         }
         if spawn_workers {
             Self::start_workers(&engine);
-        } else {
-            engine.cache.bind_registry(&engine.metrics.registry);
         }
 
         let rc = &engine.metrics.recovery;
@@ -2860,6 +2845,7 @@ mod tests {
         let bytes_before = f.engine.cached_bytes();
         let expect = scan_keys(&f, 0, u64::MAX);
 
+        let merged_before = f.engine.stats().merge;
         let report = f.engine.compact_runs(&f.session).unwrap();
         assert_eq!(report.inputs, runs_before);
         assert!(
@@ -2867,7 +2853,12 @@ mod tests {
             "hammered keys overlap across runs: {report:?}"
         );
         assert_eq!(f.engine.run_count(), 1, "single run remains");
-        assert_eq!(f.engine.last_merge_report(), Some(report));
+        let counted = f.engine.stats().merge.delta(&merged_before);
+        assert_eq!(
+            (counted.inputs, counted.blocks_merged, counted.entries_out),
+            (report.inputs, report.blocks_merged, report.entries_out),
+            "the merge counters absorbed the report"
+        );
         assert!(
             f.engine.cached_bytes() < bytes_before / 4,
             "duplicates folded: {} -> {}",
@@ -2929,10 +2920,10 @@ mod tests {
 
         // Metadata accounting follows the run set: one run's footprint
         // remains, and a full migration releases it.
-        let st = f.engine.cache_stats();
+        let st = f.engine.stats().cache;
         assert!(st.meta_bytes > 0, "{st:?}");
         f.engine.migrate(&f.session).unwrap();
-        assert_eq!(f.engine.cache_stats().meta_bytes, 0);
+        assert_eq!(f.engine.stats().cache.meta_bytes, 0);
         assert_eq!(expect, scan_keys(&f, 0, u64::MAX), "after migration");
     }
 

@@ -210,7 +210,7 @@ fn adaptive_codec_disjoint_compaction_stays_zero_decode_and_sequential() {
         f.engine.flush_buffer(&f.session).unwrap();
     }
     assert!(f.engine.run_count() >= 4);
-    let comp_before = f.engine.compression_stats();
+    let comp_before = f.engine.stats().compression;
     assert!(
         comp_before.stored_bytes < comp_before.raw_bytes,
         "adaptive saves on compressible inserts: {comp_before:?}"
@@ -269,7 +269,7 @@ fn warm_cache_scans_issue_zero_ssd_reads() {
         "warm scan issued SSD reads: {warm:?}"
     );
 
-    let cache = f.engine.cache_stats();
+    let cache = f.engine.stats().cache;
     assert!(cache.hits > 0, "{cache:?}");
     assert!(cache.hit_rate() > 0.0);
 }

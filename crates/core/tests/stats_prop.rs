@@ -14,22 +14,20 @@ use masm_core::{EngineStats, MasmEngine, StatsDelta};
 use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 use masm_telemetry::json::parse;
+use masm_telemetry::Metric;
 
 fn fixture(n_records: u64) -> (Arc<MasmEngine>, SessionHandle) {
+    fixture_with(n_records, MasmConfig::small_for_tests())
+}
+
+fn fixture_with(n_records: u64, cfg: MasmConfig) -> (Arc<MasmEngine>, SessionHandle) {
     let schema = Schema::synthetic_100b();
     let clock = SimClock::new();
     let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
     let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
     let wal_dev = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
     let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-    let engine = MasmEngine::new(
-        heap,
-        ssd,
-        wal_dev,
-        schema.clone(),
-        MasmConfig::small_for_tests(),
-    )
-    .unwrap();
+    let engine = MasmEngine::new(heap, ssd, wal_dev, schema.clone(), cfg).unwrap();
     let session = SessionHandle::fresh(clock);
     engine
         .load_table(
@@ -176,5 +174,72 @@ proptest! {
         // headline invariant field lifted to the top level.
         let json = parse(&end.to_json()).unwrap();
         prop_assert_eq!(json.get_u64("random_writes"), Some(end.ssd.random_writes));
+    }
+}
+
+/// One store per statistic: after a fixed workload that flushes,
+/// compacts, scans, gets and migrates, every counter and gauge the
+/// engine exports through its registry equals the matching
+/// `EngineStats` field — they are the same atomics, so the benches'
+/// numbers and the exported metrics cannot drift apart. Run inline and
+/// with a background worker so the worker family is covered too.
+#[test]
+fn registry_metrics_agree_with_engine_stats() {
+    for workers in [0, 1] {
+        let cfg = MasmConfig {
+            background_workers: workers,
+            ..MasmConfig::small_for_tests()
+        };
+        let (engine, session) = fixture_with(300, cfg);
+        // Enough updates to fill the buffer twice: inline, two flushes;
+        // with a worker, background flush jobs.
+        for i in 0..9000u64 {
+            let op = if i % 9 == 0 {
+                UpdateOp::Delete
+            } else {
+                UpdateOp::Modify(vec![FieldPatch {
+                    field: 0,
+                    value: (i as u32).to_le_bytes().to_vec(),
+                }])
+            };
+            engine.apply_update(&session, (i * 7) % 600, op).unwrap();
+            if i % 397 == 0 {
+                engine.get(&session, i % 600).unwrap();
+                let n = engine.begin_scan(session.clone(), i % 600, i % 600 + 40);
+                n.unwrap().count();
+            }
+        }
+        engine.flush_buffer(&session).unwrap();
+        engine.compact_runs(&session).unwrap();
+        engine
+            .begin_scan(session.clone(), 0, u64::MAX)
+            .unwrap()
+            .count();
+        engine.migrate(&session).unwrap();
+        engine.shutdown();
+
+        let stats = engine.stats();
+        assert!(stats.merge.inputs > 0, "the workload compacted");
+        assert!(stats.compression.runs > 0 && stats.cache.lookups() > 0);
+        assert_eq!(stats.workers.jobs_completed > 0, workers > 0);
+        let json = parse(&stats.to_json()).unwrap();
+        let mut compared = 0;
+        engine.metrics_registry().for_each(|key, metric, _, _| {
+            let value = match metric {
+                Metric::Counter(c) => c.get(),
+                Metric::Gauge(g) => g.get(),
+                Metric::Histogram(_) => return,
+            };
+            let (family, name) = key.split_once('.').unwrap();
+            let family = match family {
+                "worker" | "engine" => "workers",
+                "recovery" => return,
+                f => f,
+            };
+            let field = json.get(family).and_then(|f| f.get_u64(name));
+            assert_eq!(field, Some(value), "{key} (workers = {workers})");
+            compared += 1;
+        });
+        assert!(compared >= 34, "only {compared} metrics compared");
     }
 }

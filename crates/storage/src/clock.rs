@@ -66,6 +66,13 @@ impl SimClock {
     }
 }
 
+/// Time-series rows can be stamped with virtual time.
+impl masm_telemetry::ClockSource for SimClock {
+    fn now_ns(&self) -> u64 {
+        self.now()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -46,8 +46,7 @@ pub use lockcheck::{tracked_locks_held, LockToken, TrackedGuard, TrackedMutex};
 pub use sched::{IoSession, IoTicket, SessionHandle};
 pub use sim::SimDevice;
 pub use stats::{
-    CacheStats, CacheStatsSnapshot, CompressionReport, IoStats, IoStatsSnapshot, MergeReport,
-    WearStats,
+    CacheStatsSnapshot, CompressionReport, IoStats, IoStatsSnapshot, MergeReport, WearStats,
 };
 
 /// Number of bytes in one kibibyte.

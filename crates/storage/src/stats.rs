@@ -1,8 +1,15 @@
-//! Per-device I/O statistics, SSD wear accounting, and shared cache
-//! counters.
+//! Per-device I/O statistics and SSD wear accounting.
+//!
+//! [`IoStats`] is the live accumulator of a [`crate::sim::SimDevice`].
+//! The snapshot families it produces — and the cache, merge and
+//! compression reports reported next to device I/O — are declared in
+//! `masm-telemetry` and re-exported here at their historical paths.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+
+pub use masm_telemetry::{
+    CacheStatsSnapshot, CompressionReport, IoStatsSnapshot, MergeReport, WearStats,
+};
 
 /// Mutable statistics accumulated by a [`crate::sim::SimDevice`].
 #[derive(Debug, Default, Clone)]
@@ -139,559 +146,6 @@ impl IoStats {
     }
 }
 
-/// O(1) summary of SSD erase-block wear, derived from running
-/// aggregates in [`IoStats`] (never from cloning the raw per-block
-/// map). A low [`WearStats::cv`] means writes are spread evenly —
-/// MaSM's sequential materialize/migrate pattern should keep it near
-/// zero, while in-place update schemes hammer hot blocks.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WearStats {
-    /// Highest write count over any single erase block (unit: ops).
-    pub max_writes_per_block: u64,
-    /// Mean write count over the touched blocks (unit: ops).
-    pub mean_writes_per_block: f64,
-    /// Distinct erase blocks ever written (unit: ops).
-    pub blocks_touched: u64,
-    /// Coefficient of variation (σ/µ) of per-block write counts;
-    /// dimensionless, 0 = perfectly even wear.
-    pub cv: f64,
-}
-
-impl WearStats {
-    /// Combine the wear summaries of two *disjoint* block populations
-    /// (per-shard SSDs). Exact, via the method of moments: each side's
-    /// `(mean, cv)` reconstructs `E[w]` and `E[w²]`, which are weighted
-    /// by block count and recombined — the same numbers a single
-    /// device covering both populations would report.
-    #[must_use]
-    pub fn merge(&self, other: &WearStats) -> WearStats {
-        let n = self.blocks_touched + other.blocks_touched;
-        if n == 0 {
-            return WearStats::default();
-        }
-        let (n1, n2) = (self.blocks_touched as f64, other.blocks_touched as f64);
-        let mean = (n1 * self.mean_writes_per_block + n2 * other.mean_writes_per_block) / n as f64;
-        let sq = |s: &WearStats| {
-            let m = s.mean_writes_per_block;
-            (s.cv * m).powi(2) + m * m
-        };
-        let e2 = (n1 * sq(self) + n2 * sq(other)) / n as f64;
-        let var = (e2 - mean * mean).max(0.0);
-        let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
-        WearStats {
-            max_writes_per_block: self.max_writes_per_block.max(other.max_writes_per_block),
-            mean_writes_per_block: mean,
-            blocks_touched: n,
-            cv,
-        }
-    }
-}
-
-/// Copyable summary of [`IoStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoStatsSnapshot {
-    /// Number of read operations.
-    pub read_ops: u64,
-    /// Number of write operations.
-    pub write_ops: u64,
-    /// Bytes read.
-    pub bytes_read: u64,
-    /// Bytes written.
-    pub bytes_written: u64,
-    /// Sequential operations.
-    pub sequential_ops: u64,
-    /// Random operations.
-    pub random_ops: u64,
-    /// Random write operations.
-    pub random_writes: u64,
-    /// Total busy time in virtual ns.
-    pub busy_ns: u64,
-    /// Deepest submission queue observed (requests in flight at one
-    /// submission instant, including the new one).
-    pub max_queue_depth: u64,
-    /// Σ of the observed queue depth over all operations.
-    pub queue_depth_sum: u64,
-    /// Highest write count over any single erase block.
-    pub max_block_wear: u64,
-    /// Number of distinct erase blocks ever written.
-    pub touched_blocks: u64,
-}
-
-impl IoStatsSnapshot {
-    /// Total operations of both kinds (unit: ops).
-    #[must_use]
-    pub fn total_ops(&self) -> u64 {
-        self.read_ops + self.write_ops
-    }
-
-    /// Mean submission-queue depth over all operations (0 when idle;
-    /// 1.0 = strictly serial callers, >1 = overlapped I/O).
-    #[must_use]
-    pub fn mean_queue_depth(&self) -> f64 {
-        let total = self.total_ops();
-        if total == 0 {
-            return 0.0;
-        }
-        self.queue_depth_sum as f64 / total as f64
-    }
-
-    /// Average write amplification relative to `logical_bytes` of intent.
-    #[must_use]
-    pub fn write_amplification(&self, logical_bytes: u64) -> f64 {
-        if logical_bytes == 0 {
-            return 0.0;
-        }
-        self.bytes_written as f64 / logical_bytes as f64
-    }
-
-    /// Difference between two snapshots (self - earlier). The wear
-    /// fields are carried from `self` — they are levels, not counters.
-    #[must_use]
-    pub fn delta(&self, earlier: &IoStatsSnapshot) -> IoStatsSnapshot {
-        IoStatsSnapshot {
-            read_ops: self.read_ops - earlier.read_ops,
-            write_ops: self.write_ops - earlier.write_ops,
-            bytes_read: self.bytes_read - earlier.bytes_read,
-            bytes_written: self.bytes_written - earlier.bytes_written,
-            sequential_ops: self.sequential_ops - earlier.sequential_ops,
-            random_ops: self.random_ops - earlier.random_ops,
-            random_writes: self.random_writes - earlier.random_writes,
-            busy_ns: self.busy_ns - earlier.busy_ns,
-            max_queue_depth: self.max_queue_depth,
-            queue_depth_sum: self.queue_depth_sum - earlier.queue_depth_sum,
-            max_block_wear: self.max_block_wear,
-            touched_blocks: self.touched_blocks,
-        }
-    }
-
-    /// Combine snapshots of two *disjoint* devices (one shard's SSD
-    /// each): counters add; the high-water marks take the larger value;
-    /// `touched_blocks` adds because the devices share no erase blocks.
-    /// Associative and commutative.
-    #[must_use]
-    pub fn merge(&self, other: &IoStatsSnapshot) -> IoStatsSnapshot {
-        IoStatsSnapshot {
-            read_ops: self.read_ops + other.read_ops,
-            write_ops: self.write_ops + other.write_ops,
-            bytes_read: self.bytes_read + other.bytes_read,
-            bytes_written: self.bytes_written + other.bytes_written,
-            sequential_ops: self.sequential_ops + other.sequential_ops,
-            random_ops: self.random_ops + other.random_ops,
-            random_writes: self.random_writes + other.random_writes,
-            busy_ns: self.busy_ns + other.busy_ns,
-            max_queue_depth: self.max_queue_depth.max(other.max_queue_depth),
-            queue_depth_sum: self.queue_depth_sum + other.queue_depth_sum,
-            max_block_wear: self.max_block_wear.max(other.max_block_wear),
-            touched_blocks: self.touched_blocks + other.touched_blocks,
-        }
-    }
-}
-
-/// Shared counters for a read cache sitting above a device (e.g. the
-/// block cache of `masm-blockrun`). Lives here so benchmarks can report
-/// cache effectiveness next to the device [`IoStats`] they already
-/// collect.
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    promotions: AtomicU64,
-    demotions: AtomicU64,
-    rejected: AtomicU64,
-    tier2_hits: AtomicU64,
-    tier2_insertions: AtomicU64,
-    tier2_evictions: AtomicU64,
-}
-
-impl CacheStats {
-    /// Record a lookup served from the cache.
-    pub fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a lookup that had to go to the device.
-    pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an entry added to the cache.
-    pub fn record_insertion(&self) {
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an entry evicted to make room.
-    pub fn record_eviction(&self) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a probation → protected segment promotion (SLRU).
-    pub fn record_promotion(&self) {
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a protected → probation segment demotion (SLRU).
-    pub fn record_demotion(&self) {
-        self.demotions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an oversized block refused admission.
-    pub fn record_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a lookup served from the compressed victim tier (one
-    /// codec decode, zero device reads).
-    pub fn record_tier2_hit(&self) {
-        self.tier2_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a tier-1 victim demoted into the compressed victim tier.
-    pub fn record_tier2_insertion(&self) {
-        self.tier2_insertions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an entry aged out of the compressed victim tier.
-    pub fn record_tier2_eviction(&self) {
-        self.tier2_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Copyable summary for reporting.
-    pub fn snapshot(&self) -> CacheStatsSnapshot {
-        CacheStatsSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            promotions: self.promotions.load(Ordering::Relaxed),
-            demotions: self.demotions.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            tier2_hits: self.tier2_hits.load(Ordering::Relaxed),
-            tier2_insertions: self.tier2_insertions.load(Ordering::Relaxed),
-            tier2_evictions: self.tier2_evictions.load(Ordering::Relaxed),
-            data_bytes: 0,
-            probation_bytes: 0,
-            protected_bytes: 0,
-            meta_bytes: 0,
-            disk_bytes: 0,
-            tier2_bytes: 0,
-        }
-    }
-
-    /// Zero all counters.
-    pub fn reset(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.insertions.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.promotions.store(0, Ordering::Relaxed);
-        self.demotions.store(0, Ordering::Relaxed);
-        self.rejected.store(0, Ordering::Relaxed);
-        self.tier2_hits.store(0, Ordering::Relaxed);
-        self.tier2_insertions.store(0, Ordering::Relaxed);
-        self.tier2_evictions.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Copyable summary of [`CacheStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStatsSnapshot {
-    /// Lookups served from tier 1 (decoded blocks).
-    pub hits: u64,
-    /// Lookups that went to the device.
-    pub misses: u64,
-    /// Entries inserted into tier 1.
-    pub insertions: u64,
-    /// Entries evicted from tier 1.
-    pub evictions: u64,
-    /// Probation → protected promotions (a block's second reference
-    /// under the SLRU policy).
-    pub promotions: u64,
-    /// Protected → probation demotions (the protected segment ran over
-    /// its fraction of capacity).
-    pub demotions: u64,
-    /// Oversized blocks refused admission (larger than a whole shard).
-    pub rejected: u64,
-    /// Lookups served from tier 2 — the compressed victim tier — at the
-    /// cost of one codec decode and **zero** device reads. Each hit
-    /// promotes the block back into tier 1, so this doubles as the
-    /// decode-on-promote counter.
-    pub tier2_hits: u64,
-    /// Tier-1 victims whose stored (post-codec) bytes were demoted into
-    /// tier 2 instead of being dropped.
-    pub tier2_insertions: u64,
-    /// Entries aged out of tier 2.
-    pub tier2_evictions: u64,
-    /// Resident bytes charged to tier 1 — decoded data blocks plus,
-    /// when the victim tier is enabled, their retained stored copies
-    /// (always `probation_bytes + protected_bytes`).
-    pub data_bytes: u64,
-    /// Bytes charged to the probation segment (decoded blocks plus any
-    /// retained stored copies, like `data_bytes`).
-    pub probation_bytes: u64,
-    /// Bytes charged to the protected segment (decoded blocks plus any
-    /// retained stored copies, like `data_bytes`).
-    pub protected_bytes: u64,
-    /// Pinned metadata bytes (zone maps, bloom filters) accounted to
-    /// the cache but never evicted; kept separate so a one-shot sweep's
-    /// pressure on the data population is visible on its own.
-    pub meta_bytes: u64,
-    /// On-disk (post-codec, compressed) bytes of the resident tier-1
-    /// blocks. `data_bytes` is what the cache *spends* in memory;
-    /// `disk_bytes` is what the same blocks cost on the SSD — the gap
-    /// is the codec's memory amplification.
-    pub disk_bytes: u64,
-    /// Stored (post-codec) bytes resident in tier 2 — the victim tier
-    /// charges compressed size, which is how it multiplies effective
-    /// capacity by the codec's compression ratio.
-    pub tier2_bytes: u64,
-}
-
-impl CacheStatsSnapshot {
-    /// Fraction of lookups served without a device read — from either
-    /// tier (0 when idle).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.lookups();
-        if total == 0 {
-            return 0.0;
-        }
-        self.no_device_hits() as f64 / total as f64
-    }
-
-    /// Total lookups against the cache, however they were served:
-    /// tier-1 hits + tier-2 hits + misses (unit: ops).
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.tier2_hits + self.misses
-    }
-
-    /// Blocks served without touching the device: tier-1 hits plus
-    /// tier-2 (decode-only) hits (unit: ops).
-    #[must_use]
-    pub fn no_device_hits(&self) -> u64 {
-        self.hits + self.tier2_hits
-    }
-
-    /// Difference between two snapshots (self - earlier). The resident
-    /// byte gauges are carried over from `self` — they are levels, not
-    /// counters.
-    #[must_use]
-    pub fn delta(&self, earlier: &CacheStatsSnapshot) -> CacheStatsSnapshot {
-        CacheStatsSnapshot {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            insertions: self.insertions - earlier.insertions,
-            evictions: self.evictions - earlier.evictions,
-            promotions: self.promotions - earlier.promotions,
-            demotions: self.demotions - earlier.demotions,
-            rejected: self.rejected - earlier.rejected,
-            tier2_hits: self.tier2_hits - earlier.tier2_hits,
-            tier2_insertions: self.tier2_insertions - earlier.tier2_insertions,
-            tier2_evictions: self.tier2_evictions - earlier.tier2_evictions,
-            data_bytes: self.data_bytes,
-            probation_bytes: self.probation_bytes,
-            protected_bytes: self.protected_bytes,
-            meta_bytes: self.meta_bytes,
-            disk_bytes: self.disk_bytes,
-            tier2_bytes: self.tier2_bytes,
-        }
-    }
-
-    /// Combine snapshots of two *independent* caches (one shard's block
-    /// cache each): every field adds — the counters count disjoint
-    /// event streams and the byte gauges are disjoint resident sets, so
-    /// their sum is the machine-wide cache footprint. Associative and
-    /// commutative.
-    #[must_use]
-    pub fn merge(&self, other: &CacheStatsSnapshot) -> CacheStatsSnapshot {
-        CacheStatsSnapshot {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            insertions: self.insertions + other.insertions,
-            evictions: self.evictions + other.evictions,
-            promotions: self.promotions + other.promotions,
-            demotions: self.demotions + other.demotions,
-            rejected: self.rejected + other.rejected,
-            tier2_hits: self.tier2_hits + other.tier2_hits,
-            tier2_insertions: self.tier2_insertions + other.tier2_insertions,
-            tier2_evictions: self.tier2_evictions + other.tier2_evictions,
-            data_bytes: self.data_bytes + other.data_bytes,
-            probation_bytes: self.probation_bytes + other.probation_bytes,
-            protected_bytes: self.protected_bytes + other.protected_bytes,
-            meta_bytes: self.meta_bytes + other.meta_bytes,
-            disk_bytes: self.disk_bytes + other.disk_bytes,
-            tier2_bytes: self.tier2_bytes + other.tier2_bytes,
-        }
-    }
-}
-
-/// Per-run (and cumulative) compression accounting for codec-bearing
-/// block runs: raw (decoded, flat) versus stored (on-disk, post-codec)
-/// data-block bytes, plus how many blocks each codec won. Lives here,
-/// next to [`IoStats`] and [`CacheStatsSnapshot`], so benchmarks report
-/// the CPU-vs-I/O compression trade alongside device statistics. The
-/// codec-count fields name the stable codec ids of `masm-codec`
-/// (0 = identity, 1 = delta, 2 = lz); this crate stays below the codec
-/// crate in the dependency order, so the mapping is by convention.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompressionReport {
-    /// Runs accounted.
-    pub runs: u64,
-    /// Data blocks accounted.
-    pub blocks: u64,
-    /// Raw (flat, pre-codec) bytes of those blocks.
-    pub raw_bytes: u64,
-    /// Stored (on-disk, post-codec) bytes of those blocks.
-    pub stored_bytes: u64,
-    /// Blocks stored uncompressed (codec id 0).
-    pub blocks_identity: u64,
-    /// Blocks stored delta+varint-coded (codec id 1).
-    pub blocks_delta: u64,
-    /// Blocks stored LZ-coded (codec id 2).
-    pub blocks_lz: u64,
-    /// Trial encodes the adaptive selector actually ran (writer-side
-    /// CPU; zero for runs recovered from disk, whose writers are gone).
-    pub codec_trials: u64,
-    /// Trial encodes the sample-based selector *avoided* relative to
-    /// the trial-everything-per-block baseline — the selector's CPU
-    /// saving, reported by `fig13_cpu_cost`.
-    pub codec_trials_saved: u64,
-    /// LZ trials skipped because the byte-entropy probe classified the
-    /// payload as incompressible (a subset of `codec_trials_saved`).
-    pub lz_probes_skipped: u64,
-}
-
-impl CompressionReport {
-    /// Fold another report into this one (cumulative engine statistics
-    /// across every run built).
-    pub fn absorb(&mut self, other: &CompressionReport) {
-        self.runs += other.runs;
-        self.blocks += other.blocks;
-        self.raw_bytes += other.raw_bytes;
-        self.stored_bytes += other.stored_bytes;
-        self.blocks_identity += other.blocks_identity;
-        self.blocks_delta += other.blocks_delta;
-        self.blocks_lz += other.blocks_lz;
-        self.codec_trials += other.codec_trials;
-        self.codec_trials_saved += other.codec_trials_saved;
-        self.lz_probes_skipped += other.lz_probes_skipped;
-    }
-
-    /// Stored/raw byte ratio (1.0 = no compression, smaller is better;
-    /// 1.0 when nothing was accounted).
-    #[must_use]
-    pub fn ratio(&self) -> f64 {
-        if self.raw_bytes == 0 {
-            return 1.0;
-        }
-        self.stored_bytes as f64 / self.raw_bytes as f64
-    }
-
-    /// Fraction of raw bytes the codecs saved (`1 − ratio`, floored at
-    /// zero for pathological growth).
-    #[must_use]
-    pub fn savings(&self) -> f64 {
-        (1.0 - self.ratio()).max(0.0)
-    }
-
-    /// Difference between two cumulative reports (self - earlier): what
-    /// was compressed in the interval.
-    #[must_use]
-    pub fn delta(&self, earlier: &CompressionReport) -> CompressionReport {
-        CompressionReport {
-            runs: self.runs - earlier.runs,
-            blocks: self.blocks - earlier.blocks,
-            raw_bytes: self.raw_bytes - earlier.raw_bytes,
-            stored_bytes: self.stored_bytes - earlier.stored_bytes,
-            blocks_identity: self.blocks_identity - earlier.blocks_identity,
-            blocks_delta: self.blocks_delta - earlier.blocks_delta,
-            blocks_lz: self.blocks_lz - earlier.blocks_lz,
-            codec_trials: self.codec_trials - earlier.codec_trials,
-            codec_trials_saved: self.codec_trials_saved - earlier.codec_trials_saved,
-            lz_probes_skipped: self.lz_probes_skipped - earlier.lz_probes_skipped,
-        }
-    }
-}
-
-/// Outcome of one planned run merge (compaction or 2-pass merge): how
-/// much of the work was *moved* (whole blocks relinked verbatim, CRC
-/// checked but never decoded) versus *merged* (decoded and folded
-/// through the k-way merge). Lives here, next to [`IoStats`], so
-/// benchmarks report merge efficiency alongside device I/O.
-///
-/// The headline property: on fully disjoint inputs `bytes_decoded == 0`
-/// — compaction cost is proportional to overlap, not input size.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeReport {
-    /// Input runs consumed by the merge.
-    pub inputs: usize,
-    /// Merge fan-in actually observed (inputs contributing blocks);
-    /// also the prefetch depth the executor keeps in flight.
-    pub fan_in: usize,
-    /// Data blocks relinked verbatim, without decoding.
-    pub blocks_moved: u64,
-    /// Data blocks decoded and fed through the k-way merge.
-    pub blocks_merged: u64,
-    /// Encoded bytes of the moved blocks.
-    pub bytes_moved: u64,
-    /// Encoded bytes that had to be decoded (the overlap cost).
-    pub bytes_decoded: u64,
-    /// Entries written to the output run.
-    pub entries_out: u64,
-    /// Peak number of update records resident in the merge pipeline at
-    /// once: the k-way heads, the pending fold record, and the output
-    /// builder's open block. Streaming compaction (§3.3) bounds this by
-    /// `fan_in + block_entries`, independent of `entries_out`; a
-    /// materializing merge would make it `entries_out`.
-    pub peak_merge_entries: u64,
-}
-
-impl MergeReport {
-    /// Fold another report into this one (for cumulative engine
-    /// statistics across many merges).
-    pub fn absorb(&mut self, other: &MergeReport) {
-        self.inputs += other.inputs;
-        self.fan_in = self.fan_in.max(other.fan_in);
-        self.blocks_moved += other.blocks_moved;
-        self.blocks_merged += other.blocks_merged;
-        self.bytes_moved += other.bytes_moved;
-        self.bytes_decoded += other.bytes_decoded;
-        self.entries_out += other.entries_out;
-        self.peak_merge_entries = self.peak_merge_entries.max(other.peak_merge_entries);
-    }
-
-    /// Fraction of processed bytes that avoided decoding (1.0 = pure
-    /// move, 0.0 = full decode; 0.0 when nothing was processed).
-    #[must_use]
-    pub fn move_ratio(&self) -> f64 {
-        let total = self.bytes_moved + self.bytes_decoded;
-        if total == 0 {
-            return 0.0;
-        }
-        self.bytes_moved as f64 / total as f64
-    }
-
-    /// Difference between two cumulative reports (self - earlier): the
-    /// merge work done in the interval. `fan_in` is carried from `self`
-    /// — it is a high-water mark, not a counter.
-    #[must_use]
-    pub fn delta(&self, earlier: &MergeReport) -> MergeReport {
-        MergeReport {
-            inputs: self.inputs - earlier.inputs,
-            fan_in: self.fan_in,
-            blocks_moved: self.blocks_moved - earlier.blocks_moved,
-            blocks_merged: self.blocks_merged - earlier.blocks_merged,
-            bytes_moved: self.bytes_moved - earlier.bytes_moved,
-            bytes_decoded: self.bytes_decoded - earlier.bytes_decoded,
-            entries_out: self.entries_out - earlier.entries_out,
-            // Like fan_in: a high-water mark, carried from `self`.
-            peak_merge_entries: self.peak_merge_entries,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -772,102 +226,6 @@ mod tests {
         let d = b.delta(&a);
         assert_eq!(d.read_ops, 1);
         assert_eq!(d.bytes_read, 30);
-    }
-
-    #[test]
-    fn cache_stats_roundtrip() {
-        let s = CacheStats::default();
-        s.record_hit();
-        s.record_hit();
-        s.record_miss();
-        s.record_insertion();
-        s.record_eviction();
-        let snap = s.snapshot();
-        assert_eq!(snap.hits, 2);
-        assert_eq!(snap.misses, 1);
-        assert_eq!(snap.insertions, 1);
-        assert_eq!(snap.evictions, 1);
-        assert!((snap.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
-        let later = {
-            s.record_miss();
-            s.snapshot()
-        };
-        assert_eq!(later.delta(&snap).misses, 1);
-        s.reset();
-        assert_eq!(s.snapshot(), CacheStatsSnapshot::default());
-        assert_eq!(CacheStatsSnapshot::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn compression_report_absorb_ratio_and_savings() {
-        let mut total = CompressionReport::default();
-        assert_eq!(total.ratio(), 1.0, "idle report is neutral");
-        assert_eq!(total.savings(), 0.0);
-        total.absorb(&CompressionReport {
-            runs: 1,
-            blocks: 4,
-            raw_bytes: 1000,
-            stored_bytes: 600,
-            blocks_identity: 1,
-            blocks_delta: 2,
-            blocks_lz: 1,
-            codec_trials: 4,
-            codec_trials_saved: 4,
-            lz_probes_skipped: 1,
-        });
-        total.absorb(&CompressionReport {
-            runs: 1,
-            blocks: 2,
-            raw_bytes: 1000,
-            stored_bytes: 400,
-            blocks_lz: 2,
-            ..CompressionReport::default()
-        });
-        assert_eq!(total.runs, 2);
-        assert_eq!(total.blocks, 6);
-        assert_eq!(total.blocks_lz, 3);
-        assert_eq!(total.codec_trials, 4);
-        assert_eq!(total.codec_trials_saved, 4);
-        assert_eq!(total.lz_probes_skipped, 1);
-        assert!((total.ratio() - 0.5).abs() < 1e-9);
-        assert!((total.savings() - 0.5).abs() < 1e-9);
-        let grown = CompressionReport {
-            raw_bytes: 100,
-            stored_bytes: 120,
-            ..CompressionReport::default()
-        };
-        assert_eq!(grown.savings(), 0.0, "growth floors at zero savings");
-    }
-
-    #[test]
-    fn merge_report_absorb_and_ratio() {
-        let mut total = MergeReport::default();
-        assert_eq!(total.move_ratio(), 0.0);
-        total.absorb(&MergeReport {
-            inputs: 2,
-            fan_in: 2,
-            blocks_moved: 3,
-            blocks_merged: 1,
-            bytes_moved: 300,
-            bytes_decoded: 100,
-            entries_out: 40,
-            peak_merge_entries: 7,
-        });
-        total.absorb(&MergeReport {
-            inputs: 3,
-            fan_in: 3,
-            blocks_moved: 1,
-            blocks_merged: 0,
-            bytes_moved: 100,
-            bytes_decoded: 0,
-            entries_out: 10,
-            peak_merge_entries: 3,
-        });
-        assert_eq!(total.inputs, 5);
-        assert_eq!(total.fan_in, 3);
-        assert_eq!(total.blocks_moved, 4);
-        assert_eq!(total.entries_out, 50);
-        assert!((total.move_ratio() - 0.8).abs() < 1e-9);
     }
 
     #[test]

@@ -11,19 +11,24 @@
 //!    [`Histogram`]s with p50/p95/p99/max readout and a **fixed bucket
 //!    array** (no allocation on the record path), a [`Registry`] that
 //!    namespaces metric families, and a [`Timer`] guard that records
-//!    elapsed virtual nanoseconds into a histogram on drop. This layer
-//!    has no dependencies and is usable by any crate in the workspace.
-//! 2. **Unified snapshots** ([`stats`]) — [`EngineStats`], the one
-//!    struct that composes cache, merge, compression, device I/O,
-//!    SSD-wear summary, buffer occupancy, and per-operation latency
-//!    histograms; [`StatsDelta`] (`now − prev`) makes rates
-//!    first-class.
+//!    elapsed virtual nanoseconds into a histogram on drop.
+//! 2. **Unified snapshots** ([`stats`], [`family`]) — [`EngineStats`],
+//!    the one struct that composes cache, merge, compression, device
+//!    I/O, SSD-wear summary, buffer occupancy, and per-operation
+//!    latency histograms; [`StatsDelta`] (`now − prev`) makes rates
+//!    first-class. Each family is declared once with [`stats_family!`],
+//!    which derives its `delta`, `merge` and JSON code from per-field
+//!    aggregation rules, and a subsystem's live counters are declared
+//!    with [`counter_set!`] so its snapshot and its registry metrics
+//!    are one store.
 //! 3. **Time-series export** ([`timeseries`]) — [`TimeSeriesWriter`]
 //!    polls snapshots on a virtual-clock interval and appends NDJSON
 //!    rows (one JSON object per line), so sustained-load benches emit a
 //!    time series instead of a single summary row; [`NdjsonWriter`] is
 //!    the row-level building block for non-engine producers.
 //!
+//! The crate has no dependencies, so every other crate of the
+//! workspace — the storage substrate included — can report through it.
 //! JSON is hand-rolled ([`json`]) because the workspace is offline (no
 //! serde); the tiny writer/parser pair is enough for NDJSON rows and
 //! for round-trip tests.
@@ -33,9 +38,10 @@
 //! Every metric states its unit in its rustdoc. The conventions:
 //! **ops** (a count of operations or events), **bytes**, and
 //! **virtual-ns** (nanoseconds of simulated time on the shared
-//! [`masm_storage::SimClock`]; wall-clock when a driver runs against
+//! `masm_storage::SimClock`; wall-clock when a driver runs against
 //! real hardware).
 
+pub mod family;
 pub mod json;
 pub mod metrics;
 pub mod registry;
@@ -48,8 +54,8 @@ pub use json::JsonValue;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Unit, HISTOGRAM_BUCKETS};
 pub use registry::{Metric, Registry};
 pub use stats::{
-    BufferStats, EngineStats, OpCountDelta, OpCountDeltas, OpLatencies, RunSetStats, StatsDelta,
-    WorkerStats,
+    BufferStats, CacheStatsSnapshot, CompressionReport, EngineStats, IoStatsSnapshot, MergeReport,
+    OpCountDelta, OpCountDeltas, OpLatencies, RunSetStats, StatsDelta, WearStats, WorkerStats,
 };
 pub use timer::Timer;
 pub use timeseries::{ClockSource, NdjsonWriter, TimeSeriesWriter, WallClock};

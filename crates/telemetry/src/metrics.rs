@@ -4,6 +4,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::family::{StatDelta, StatMerge};
+
 /// The unit a metric is reported in. Stated explicitly so exported
 /// numbers are never ambiguous (see the crate-level Units section).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,6 +99,11 @@ impl Gauge {
                 Err(actual) => cur = actual,
             }
         }
+    }
+
+    /// Raise the level to `v` if it is higher (a high-water mark).
+    pub fn raise_to(&self, v: u64) {
+        self.value.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current level.
@@ -201,20 +208,24 @@ impl Histogram {
     }
 }
 
-/// Copyable summary of a [`Histogram`]. Sample unit is whatever the
-/// histogram recorded (virtual-ns for the engine's latency families).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Per-bucket sample counts (unit: ops); see [`HISTOGRAM_BUCKETS`]
-    /// for the bucket boundaries.
-    pub buckets: [u64; HISTOGRAM_BUCKETS],
-    /// Total samples (unit: ops).
-    pub count: u64,
-    /// Sum of all samples (sample unit, e.g. virtual-ns). Wraps mod
-    /// 2⁶⁴ if the stream exceeds `u64::MAX` in aggregate.
-    pub sum: u64,
-    /// Largest sample observed (sample unit).
-    pub max: u64,
+crate::stats_family! {
+    /// Copyable summary of a [`Histogram`]. Sample unit is whatever the
+    /// histogram recorded (virtual-ns for the engine's latency families).
+    /// Its JSON is a readout — count, sum, max, p50/p95/p99 and mean —
+    /// without the buckets.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct HistogramSnapshot: to_json {
+        /// Per-bucket sample counts (unit: ops); see [`HISTOGRAM_BUCKETS`]
+        /// for the bucket boundaries.
+        pub buckets: [u64; HISTOGRAM_BUCKETS] [],
+        /// Total samples (unit: ops).
+        pub count: u64,
+        /// Sum of all samples (sample unit, e.g. virtual-ns). Wraps mod
+        /// 2⁶⁴ if the stream exceeds `u64::MAX` in aggregate.
+        pub sum: u64,
+        /// Largest sample observed (sample unit).
+        pub max: u64 [self, p50, p95, p99, mean],
+    }
 }
 
 impl Default for HistogramSnapshot {
@@ -307,6 +318,18 @@ impl HistogramSnapshot {
     }
 }
 
+impl StatDelta for HistogramSnapshot {
+    fn delta_since(self, earlier: Self) -> Self {
+        self.delta(&earlier)
+    }
+}
+
+impl StatMerge for HistogramSnapshot {
+    fn merged(self, other: Self) -> Self {
+        self.merge(&other)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,6 +347,9 @@ mod tests {
         assert_eq!(g.get(), 12);
         g.sub(100);
         assert_eq!(g.get(), 0, "gauge saturates at zero");
+        g.raise_to(7);
+        g.raise_to(3);
+        assert_eq!(g.get(), 7, "raise_to keeps the high-water mark");
     }
 
     #[test]

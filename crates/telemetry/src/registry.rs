@@ -143,6 +143,22 @@ impl Registry {
         }
     }
 
+    /// Register an *existing* gauge under `family.name`, with the same
+    /// sharing semantics as [`Registry::attach_counter`].
+    pub fn attach_gauge(
+        &self,
+        family: &str,
+        name: &str,
+        gauge: Arc<Gauge>,
+        unit: Unit,
+        help: &'static str,
+    ) -> Arc<Gauge> {
+        match self.register(family, name, move || Metric::Gauge(gauge), unit, help) {
+            Metric::Gauge(g) => g,
+            _ => panic!("metric {family}.{name} already registered with a different kind"),
+        }
+    }
+
     /// Walk every registered metric in key order:
     /// `(full_name, metric, unit, help)`. A poisoned lock (a thread
     /// panicked inside a previous walk's callback) is recovered —

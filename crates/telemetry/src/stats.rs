@@ -3,119 +3,420 @@
 //!
 //! One `MasmEngine::stats()` call returns everything the paper's
 //! quantitative invariants need, composed from the per-subsystem
-//! reports that previously lived in four disconnected structs: cache
-//! ([`CacheStatsSnapshot`]), merge ([`MergeReport`]), compression
-//! ([`CompressionReport`]), device I/O + wear ([`IoStatsSnapshot`],
-//! [`WearStats`]), buffer occupancy, and per-operation latency
-//! histograms. `StatsDelta = now − prev` makes rates first-class:
-//! benches poll snapshots and report updates/s or bytes/s without
-//! re-plumbing counters by hand.
+//! families: cache ([`CacheStatsSnapshot`]), merge ([`MergeReport`]),
+//! compression ([`CompressionReport`]), device I/O + wear
+//! ([`IoStatsSnapshot`], [`WearStats`]), buffer occupancy, and
+//! per-operation latency histograms. `StatsDelta = now − prev` makes
+//! rates first-class: benches poll snapshots and report updates/s or
+//! bytes/s without re-plumbing counters by hand.
+//!
+//! Every family is declared once with [`stats_family!`](crate::stats_family),
+//! which derives its `delta`, `merge` and JSON code from the per-field
+//! aggregation rules. The only hand-written aggregation is the wear
+//! summary's moment-based [`WearStats::merge`] and the histogram
+//! bucket arithmetic.
 
-use masm_storage::{
-    CacheStatsSnapshot, CompressionReport, IoStatsSnapshot, MergeReport, WearStats,
-};
-
-use crate::json::{JsonObj, JsonValue};
+use crate::family::StatMerge;
 use crate::metrics::HistogramSnapshot;
+use crate::stats_family;
 
-/// Occupancy of the in-memory update buffer at snapshot time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BufferStats {
-    /// Buffered update records (unit: ops).
-    pub updates: u64,
-    /// Encoded bytes of the buffered updates (unit: bytes).
-    pub bytes: u64,
-    /// Current buffer capacity, including stolen query pages
-    /// (unit: bytes).
-    pub capacity_bytes: u64,
+stats_family! {
+    /// Copyable summary of one device's I/O statistics (the live
+    /// accumulator is `masm_storage::IoStats`).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct IoStatsSnapshot: delta, merge, to_json, from_json {
+        /// Number of read operations.
+        pub read_ops: u64 = sum,
+        /// Number of write operations.
+        pub write_ops: u64 = sum,
+        /// Bytes read.
+        pub bytes_read: u64 = sum,
+        /// Bytes written.
+        pub bytes_written: u64 = sum,
+        /// Sequential operations.
+        pub sequential_ops: u64 = sum,
+        /// Random operations.
+        pub random_ops: u64 = sum,
+        /// Random write operations.
+        pub random_writes: u64 = sum,
+        /// Total busy time in virtual ns.
+        pub busy_ns: u64 = sum,
+        /// Deepest submission queue observed (requests in flight at one
+        /// submission instant, including the new one).
+        pub max_queue_depth: u64 = peak,
+        /// Σ of the observed queue depth over all operations.
+        pub queue_depth_sum: u64 = sum,
+        /// Highest write count over any single erase block.
+        pub max_block_wear: u64 = peak,
+        /// Number of distinct erase blocks ever written. A level; it
+        /// adds across shards because their devices share no blocks.
+        pub touched_blocks: u64 = level,
+    }
 }
 
-impl BufferStats {
-    /// Combine per-shard buffer occupancies: every field adds — each
-    /// shard owns an independent buffer, so the sum is the machine-wide
-    /// buffered footprint.
+impl IoStatsSnapshot {
+    /// Total operations of both kinds (unit: ops).
     #[must_use]
-    pub fn merge(&self, other: &BufferStats) -> BufferStats {
-        BufferStats {
-            updates: self.updates + other.updates,
-            bytes: self.bytes + other.bytes,
-            capacity_bytes: self.capacity_bytes + other.capacity_bytes,
+    pub fn total_ops(&self) -> u64 {
+        self.read_ops + self.write_ops
+    }
+
+    /// Mean submission-queue depth over all operations (0 when idle;
+    /// 1.0 = strictly serial callers, >1 = overlapped I/O).
+    #[must_use]
+    pub fn mean_queue_depth(&self) -> f64 {
+        let total = self.total_ops();
+        if total == 0 {
+            return 0.0;
+        }
+        self.queue_depth_sum as f64 / total as f64
+    }
+
+    /// Average write amplification relative to `logical_bytes` of intent.
+    #[must_use]
+    pub fn write_amplification(&self, logical_bytes: u64) -> f64 {
+        if logical_bytes == 0 {
+            return 0.0;
+        }
+        self.bytes_written as f64 / logical_bytes as f64
+    }
+}
+
+stats_family! {
+    /// O(1) summary of SSD erase-block wear, derived from running
+    /// aggregates in the device's `IoStats` (never from cloning the raw
+    /// per-block map). A low [`WearStats::cv`] means writes are spread
+    /// evenly — MaSM's sequential materialize/migrate pattern should
+    /// keep it near zero, while in-place update schemes hammer hot
+    /// blocks.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct WearStats: to_json {
+        /// Highest write count over any single erase block (unit: ops).
+        pub max_writes_per_block: u64,
+        /// Mean write count over the touched blocks (unit: ops).
+        pub mean_writes_per_block: f64,
+        /// Distinct erase blocks ever written (unit: ops).
+        pub blocks_touched: u64,
+        /// Coefficient of variation (σ/µ) of per-block write counts;
+        /// dimensionless, 0 = perfectly even wear.
+        pub cv: f64,
+    }
+}
+
+impl WearStats {
+    /// Combine the wear summaries of two *disjoint* block populations
+    /// (per-shard SSDs). Exact, via the method of moments: each side's
+    /// `(mean, cv)` reconstructs `E[w]` and `E[w²]`, which are weighted
+    /// by block count and recombined — the same numbers a single
+    /// device covering both populations would report.
+    #[must_use]
+    pub fn merge(&self, other: &WearStats) -> WearStats {
+        let n = self.blocks_touched + other.blocks_touched;
+        if n == 0 {
+            return WearStats::default();
+        }
+        let (n1, n2) = (self.blocks_touched as f64, other.blocks_touched as f64);
+        let mean = (n1 * self.mean_writes_per_block + n2 * other.mean_writes_per_block) / n as f64;
+        let sq = |s: &WearStats| {
+            let m = s.mean_writes_per_block;
+            (s.cv * m).powi(2) + m * m
+        };
+        let e2 = (n1 * sq(self) + n2 * sq(other)) / n as f64;
+        let var = (e2 - mean * mean).max(0.0);
+        let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
+        WearStats {
+            max_writes_per_block: self.max_writes_per_block.max(other.max_writes_per_block),
+            mean_writes_per_block: mean,
+            blocks_touched: n,
+            cv,
         }
     }
 }
 
-/// The materialized-run set at snapshot time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunSetStats {
-    /// Live materialized runs (unit: ops).
-    pub count: u64,
-    /// SSD bytes occupied by live runs (unit: bytes).
-    pub cached_bytes: u64,
-    /// Configured SSD update-cache capacity (unit: bytes).
-    pub ssd_capacity_bytes: u64,
-}
-
-impl RunSetStats {
-    /// Combine per-shard run sets: counts, occupancy, and capacity all
-    /// add (shards hold disjoint runs on disjoint flash slices).
-    #[must_use]
-    pub fn merge(&self, other: &RunSetStats) -> RunSetStats {
-        RunSetStats {
-            count: self.count + other.count,
-            cached_bytes: self.cached_bytes + other.cached_bytes,
-            ssd_capacity_bytes: self.ssd_capacity_bytes + other.ssd_capacity_bytes,
-        }
+impl StatMerge for WearStats {
+    fn merged(self, other: Self) -> Self {
+        self.merge(&other)
     }
 }
 
-/// Background worker-pool occupancy and lifetime counters at snapshot
-/// time. All zero for an inline engine (`background_workers = 0`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Configured background worker threads (unit: ops).
-    pub threads: u64,
-    /// Jobs waiting in the backlog queue right now (gauge; unit: ops).
-    pub queue_depth: u64,
-    /// Bytes of sealed update batches awaiting a background flush
-    /// (gauge; unit: bytes). This is what the ingest backpressure gate
-    /// bounds.
-    pub backlog_bytes: u64,
-    /// Jobs completed since construction (unit: ops).
-    pub jobs_completed: u64,
-    /// Jobs retried after a transient failure (unit: ops).
-    pub jobs_retried: u64,
-    /// Jobs abandoned after exhausting retries (unit: ops).
-    pub jobs_failed: u64,
-    /// Background flushes materialized (unit: ops).
-    pub flushes: u64,
-    /// Background merges completed (unit: ops).
-    pub merges: u64,
-    /// Background migrations completed (unit: ops).
-    pub migrations: u64,
-    /// Timestamps issued since the oldest still-active query pinned its
-    /// snapshot (gauge): how far the engine's epoch has advanced past
-    /// its oldest reader. 0 when no query is active.
-    pub epoch_lag: u64,
+stats_family! {
+    /// Counters and byte gauges of a two-tier block cache (the
+    /// `masm-blockrun` block cache). Counters subtract in a delta; the
+    /// resident byte gauges are levels carried from the newer snapshot.
+    /// Across shards every field adds: the caches count disjoint event
+    /// streams and hold disjoint resident sets.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheStatsSnapshot: delta, merge, to_json, from_json {
+        /// Lookups served from tier 1 (decoded blocks).
+        pub hits: u64 = sum,
+        /// Lookups that went to the device.
+        pub misses: u64 = sum,
+        /// Entries inserted into tier 1.
+        pub insertions: u64 = sum,
+        /// Entries evicted from tier 1.
+        pub evictions: u64 = sum,
+        /// Probation → protected promotions (a block's second reference
+        /// under the SLRU policy).
+        pub promotions: u64 = sum,
+        /// Protected → probation demotions (the protected segment ran over
+        /// its fraction of capacity).
+        pub demotions: u64 = sum,
+        /// Oversized blocks refused admission (larger than a whole shard).
+        pub rejected: u64 = sum,
+        /// Lookups served from tier 2 — the compressed victim tier — at the
+        /// cost of one codec decode and **zero** device reads. Each hit
+        /// promotes the block back into tier 1, so this doubles as the
+        /// decode-on-promote counter.
+        pub tier2_hits: u64 = sum,
+        /// Tier-1 victims whose stored (post-codec) bytes were demoted into
+        /// tier 2 instead of being dropped.
+        pub tier2_insertions: u64 = sum,
+        /// Entries aged out of tier 2.
+        pub tier2_evictions: u64 = sum,
+        /// Resident bytes charged to tier 1 — decoded data blocks plus,
+        /// when the victim tier is enabled, their retained stored copies
+        /// (always `probation_bytes + protected_bytes`).
+        pub data_bytes: u64 = level,
+        /// Bytes charged to the probation segment (decoded blocks plus any
+        /// retained stored copies, like `data_bytes`).
+        pub probation_bytes: u64 = level,
+        /// Bytes charged to the protected segment (decoded blocks plus any
+        /// retained stored copies, like `data_bytes`).
+        pub protected_bytes: u64 = level,
+        /// Pinned metadata bytes (zone maps, bloom filters) accounted to
+        /// the cache but never evicted; kept separate so a one-shot sweep's
+        /// pressure on the data population is visible on its own.
+        pub meta_bytes: u64 = level,
+        /// On-disk (post-codec, compressed) bytes of the resident tier-1
+        /// blocks. `data_bytes` is what the cache *spends* in memory;
+        /// `disk_bytes` is what the same blocks cost on the SSD — the gap
+        /// is the codec's memory amplification.
+        pub disk_bytes: u64 = level,
+        /// Stored (post-codec) bytes resident in tier 2 — the victim tier
+        /// charges compressed size, which is how it multiplies effective
+        /// capacity by the codec's compression ratio.
+        pub tier2_bytes: u64 = level [self, hit_rate],
+    }
 }
 
-/// Latency histograms for every public engine operation, recorded at
-/// the hot paths by [`crate::Timer`] guards. All samples are
-/// **virtual-ns**.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpLatencies {
-    /// One `apply_update` call (includes any flush it triggered).
-    pub ingest: HistogramSnapshot,
-    /// One point lookup (`get`).
-    pub get: HistogramSnapshot,
-    /// One record yielded by a merged range scan (`MergeScan::next`).
-    pub scan_next: HistogramSnapshot,
-    /// One buffer flush that materialized a run.
-    pub flush: HistogramSnapshot,
-    /// One full or partial migration.
-    pub migrate: HistogramSnapshot,
-    /// One block obtained by a run scan (cache hit ≈ 0, miss = device
-    /// wait), recorded inside `masm-blockrun`.
-    pub block_fetch: HistogramSnapshot,
+impl CacheStatsSnapshot {
+    /// Fraction of lookups served without a device read — from either
+    /// tier (0 when idle).
+    #[must_use]
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.lookups();
+        if total == 0 {
+            return 0.0;
+        }
+        self.no_device_hits() as f64 / total as f64
+    }
+
+    /// Total lookups against the cache, however they were served:
+    /// tier-1 hits + tier-2 hits + misses (unit: ops).
+    #[must_use]
+    pub fn lookups(&self) -> u64 {
+        self.hits + self.tier2_hits + self.misses
+    }
+
+    /// Blocks served without touching the device: tier-1 hits plus
+    /// tier-2 (decode-only) hits (unit: ops).
+    #[must_use]
+    pub fn no_device_hits(&self) -> u64 {
+        self.hits + self.tier2_hits
+    }
+}
+
+stats_family! {
+    /// Per-run (and cumulative) compression accounting for codec-bearing
+    /// block runs: raw (decoded, flat) versus stored (on-disk, post-codec)
+    /// data-block bytes, plus how many blocks each codec won. The
+    /// codec-count fields name the stable codec ids of `masm-codec`
+    /// (0 = identity, 1 = delta, 2 = lz); this crate stays below the codec
+    /// crate in the dependency order, so the mapping is by convention.
+    /// Cumulative totals fold runs together with
+    /// [`CompressionReport::merge`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CompressionReport: delta, merge, to_json, from_json {
+        /// Runs accounted.
+        pub runs: u64 = sum,
+        /// Data blocks accounted.
+        pub blocks: u64 = sum,
+        /// Raw (flat, pre-codec) bytes of those blocks.
+        pub raw_bytes: u64 = sum,
+        /// Stored (on-disk, post-codec) bytes of those blocks.
+        pub stored_bytes: u64 = sum,
+        /// Blocks stored uncompressed (codec id 0).
+        pub blocks_identity: u64 = sum,
+        /// Blocks stored delta+varint-coded (codec id 1).
+        pub blocks_delta: u64 = sum,
+        /// Blocks stored LZ-coded (codec id 2).
+        pub blocks_lz: u64 = sum,
+        /// Trial encodes the adaptive selector actually ran (writer-side
+        /// CPU; zero for runs recovered from disk, whose writers are gone).
+        pub codec_trials: u64 = sum,
+        /// Trial encodes the sample-based selector *avoided* relative to
+        /// the trial-everything-per-block baseline — the selector's CPU
+        /// saving, reported by `fig13_cpu_cost`.
+        pub codec_trials_saved: u64 = sum,
+        /// LZ trials skipped because the byte-entropy probe classified the
+        /// payload as incompressible (a subset of `codec_trials_saved`).
+        pub lz_probes_skipped: u64 = sum [self, ratio],
+    }
+}
+
+impl CompressionReport {
+    /// Stored/raw byte ratio (1.0 = no compression, smaller is better;
+    /// 1.0 when nothing was accounted).
+    #[must_use]
+    pub fn ratio(&self) -> f64 {
+        if self.raw_bytes == 0 {
+            return 1.0;
+        }
+        self.stored_bytes as f64 / self.raw_bytes as f64
+    }
+
+    /// Fraction of raw bytes the codecs saved (`1 − ratio`, floored at
+    /// zero for pathological growth).
+    #[must_use]
+    pub fn savings(&self) -> f64 {
+        (1.0 - self.ratio()).max(0.0)
+    }
+}
+
+stats_family! {
+    /// Outcome of one planned run merge (compaction or 2-pass merge): how
+    /// much of the work was *moved* (whole blocks relinked verbatim, CRC
+    /// checked but never decoded) versus *merged* (decoded and folded
+    /// through the k-way merge). Cumulative totals fold reports together
+    /// with [`MergeReport::merge`].
+    ///
+    /// The headline property: on fully disjoint inputs `bytes_decoded == 0`
+    /// — compaction cost is proportional to overlap, not input size.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MergeReport: delta, merge, to_json, from_json {
+        /// Input runs consumed by the merge.
+        pub inputs: usize = sum,
+        /// Merge fan-in actually observed (inputs contributing blocks);
+        /// also the prefetch depth the executor keeps in flight. A
+        /// high-water mark.
+        pub fan_in: usize = peak,
+        /// Data blocks relinked verbatim, without decoding.
+        pub blocks_moved: u64 = sum,
+        /// Data blocks decoded and fed through the k-way merge.
+        pub blocks_merged: u64 = sum,
+        /// Encoded bytes of the moved blocks.
+        pub bytes_moved: u64 = sum,
+        /// Encoded bytes that had to be decoded (the overlap cost).
+        pub bytes_decoded: u64 = sum,
+        /// Entries written to the output run.
+        pub entries_out: u64 = sum,
+        /// Peak number of update records resident in the merge pipeline at
+        /// once: the k-way heads, the pending fold record, and the output
+        /// builder's open block. Streaming compaction (§3.3) bounds this by
+        /// `fan_in + block_entries`, independent of `entries_out`; a
+        /// materializing merge would make it `entries_out`.
+        pub peak_merge_entries: u64 = peak,
+    }
+}
+
+impl MergeReport {
+    /// Fraction of processed bytes that avoided decoding (1.0 = pure
+    /// move, 0.0 = full decode; 0.0 when nothing was processed).
+    #[must_use]
+    pub fn move_ratio(&self) -> f64 {
+        let total = self.bytes_moved + self.bytes_decoded;
+        if total == 0 {
+            return 0.0;
+        }
+        self.bytes_moved as f64 / total as f64
+    }
+}
+
+stats_family! {
+    /// Occupancy of the in-memory update buffer at snapshot time. Every
+    /// field adds across shards: each shard owns an independent buffer.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct BufferStats: merge, to_json {
+        /// Buffered update records (unit: ops).
+        pub updates: u64 = level,
+        /// Encoded bytes of the buffered updates (unit: bytes).
+        pub bytes: u64 = level,
+        /// Current buffer capacity, including stolen query pages
+        /// (unit: bytes).
+        pub capacity_bytes: u64 = level,
+    }
+}
+
+stats_family! {
+    /// The materialized-run set at snapshot time. Every field adds
+    /// across shards: they hold disjoint runs on disjoint flash slices.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RunSetStats: merge, to_json {
+        /// Live materialized runs (unit: ops).
+        pub count: u64 = level,
+        /// SSD bytes occupied by live runs (unit: bytes).
+        pub cached_bytes: u64 = level,
+        /// Configured SSD update-cache capacity (unit: bytes).
+        pub ssd_capacity_bytes: u64 = level,
+    }
+}
+
+stats_family! {
+    /// Background worker-pool occupancy and lifetime counters at snapshot
+    /// time. All zero for an inline engine (`background_workers = 0`).
+    /// The pool gauges take the max across shards: the shards of one
+    /// engine *share* one pool, so each reports the same pool-wide level.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct WorkerStats: delta, merge, to_json, from_json {
+        /// Configured background worker threads (unit: ops).
+        pub threads: u64 = peak,
+        /// Jobs waiting in the backlog queue right now (gauge; unit: ops).
+        pub queue_depth: u64 = peak,
+        /// Bytes of sealed update batches awaiting a background flush
+        /// (gauge; unit: bytes). This is what the ingest backpressure gate
+        /// bounds.
+        pub backlog_bytes: u64 = peak,
+        /// Jobs completed since construction (unit: ops).
+        pub jobs_completed: u64 = sum,
+        /// Jobs retried after a transient failure (unit: ops).
+        pub jobs_retried: u64 = sum,
+        /// Jobs abandoned after exhausting retries (unit: ops).
+        pub jobs_failed: u64 = sum,
+        /// Background flushes materialized (unit: ops).
+        pub flushes: u64 = sum,
+        /// Background merges completed (unit: ops).
+        pub merges: u64 = sum,
+        /// Background migrations completed (unit: ops).
+        pub migrations: u64 = sum,
+        /// Timestamps issued since the oldest still-active query pinned its
+        /// snapshot (gauge): how far the engine's epoch has advanced past
+        /// its oldest reader. 0 when no query is active; the worst shard
+        /// wins a merge.
+        pub epoch_lag: u64 = peak,
+    }
+}
+
+stats_family! {
+    /// Latency histograms for every public engine operation, recorded at
+    /// the hot paths by [`crate::Timer`] guards. All samples are
+    /// **virtual-ns**. Shards merge bucket-wise
+    /// ([`HistogramSnapshot::merge`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct OpLatencies: delta, merge, to_json {
+        /// One `apply_update` call (includes any flush it triggered).
+        pub ingest: HistogramSnapshot = sum,
+        /// One point lookup (`get`).
+        pub get: HistogramSnapshot = sum,
+        /// One record yielded by a merged range scan (`MergeScan::next`).
+        pub scan_next: HistogramSnapshot = sum,
+        /// One buffer flush that materialized a run.
+        pub flush: HistogramSnapshot = sum,
+        /// One full or partial migration.
+        pub migrate: HistogramSnapshot = sum,
+        /// One block obtained by a run scan (cache hit ≈ 0, miss = device
+        /// wait), recorded inside `masm-blockrun`.
+        pub block_fetch: HistogramSnapshot = sum,
+    }
 }
 
 impl OpLatencies {
@@ -128,336 +429,94 @@ impl OpLatencies {
         f("migrate", &self.migrate);
         f("block_fetch", &self.block_fetch);
     }
+}
 
-    /// Combine per-shard latency families bucket-wise (see
-    /// [`HistogramSnapshot::merge`]): the global histogram of the
-    /// union of both shards' samples.
-    #[must_use]
-    pub fn merge(&self, other: &OpLatencies) -> OpLatencies {
-        OpLatencies {
-            ingest: self.ingest.merge(&other.ingest),
-            get: self.get.merge(&other.get),
-            scan_next: self.scan_next.merge(&other.scan_next),
-            flush: self.flush.merge(&other.flush),
-            migrate: self.migrate.merge(&other.migrate),
-            block_fetch: self.block_fetch.merge(&other.block_fetch),
-        }
+stats_family! {
+    /// The unified engine snapshot. All counter fields are cumulative since
+    /// engine construction; gauges (buffer, runs, cache byte levels) are
+    /// levels at `at_ns`.
+    ///
+    /// `to_json` nests every family under a stable key (`ingested`,
+    /// `buffer`, `runs`, `cache`, `merge`, `compression`, `ssd`,
+    /// `ssd_wear`, `wal`, `workers`, and `ops` — six latency
+    /// histograms) and lifts `random_writes` to the top level so the
+    /// paper's zero-random-write invariant is greppable in every NDJSON
+    /// row.
+    ///
+    /// `merge` combines two shards' snapshots into the global engine
+    /// view: the snapshot a single engine covering both shards' work
+    /// would have produced. It is associative and commutative, and
+    /// commutes with [`EngineStats::delta`] when all snapshots are taken
+    /// on one shared clock (`at_ns` equal across shards at each sampling
+    /// instant) — the property the aggregation proptest pins, so summing
+    /// per-shard deltas equals the delta of summed snapshots.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct EngineStats: merge, to_json {
+        /// Virtual time of the snapshot (unit: virtual-ns).
+        pub at_ns: u64 = peak [self, random_writes, ingested],
+        /// Updates ingested since construction (unit: ops).
+        pub ingested_updates: u64 = sum [],
+        /// Logical bytes of ingested updates (unit: bytes).
+        pub ingested_bytes: u64 = sum [],
+        /// In-memory update-buffer occupancy.
+        pub buffer: BufferStats = sum,
+        /// Materialized-run set occupancy.
+        pub runs: RunSetStats = sum,
+        /// Block-cache counters and byte gauges.
+        pub cache: CacheStatsSnapshot = sum,
+        /// Cumulative planned-merge totals.
+        pub merge: MergeReport = sum,
+        /// Cumulative codec accounting.
+        pub compression: CompressionReport = sum,
+        /// Update-cache SSD device I/O.
+        pub ssd: IoStatsSnapshot = sum,
+        /// SSD erase-block wear summary (no raw histogram cloning).
+        pub ssd_wear: WearStats = sum,
+        /// WAL device I/O.
+        pub wal: IoStatsSnapshot = sum,
+        /// Background worker-pool occupancy and counters.
+        pub workers: WorkerStats = sum,
+        /// Per-operation latency histograms (virtual-ns).
+        pub ops: OpLatencies = sum,
     }
 }
 
-/// The unified engine snapshot. All counter fields are cumulative since
-/// engine construction; gauges (buffer, runs, cache byte levels) are
-/// levels at `at_ns`.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EngineStats {
-    /// Virtual time of the snapshot (unit: virtual-ns).
-    pub at_ns: u64,
-    /// Updates ingested since construction (unit: ops).
-    pub ingested_updates: u64,
-    /// Logical bytes of ingested updates (unit: bytes).
-    pub ingested_bytes: u64,
-    /// In-memory update-buffer occupancy.
-    pub buffer: BufferStats,
-    /// Materialized-run set occupancy.
-    pub runs: RunSetStats,
-    /// Block-cache counters and byte gauges.
-    pub cache: CacheStatsSnapshot,
-    /// Cumulative planned-merge totals.
-    pub merge: MergeReport,
-    /// Cumulative codec accounting.
-    pub compression: CompressionReport,
-    /// Update-cache SSD device I/O.
-    pub ssd: IoStatsSnapshot,
-    /// SSD erase-block wear summary (no raw histogram cloning).
-    pub ssd_wear: WearStats,
-    /// WAL device I/O.
-    pub wal: IoStatsSnapshot,
-    /// Background worker-pool occupancy and counters.
-    pub workers: WorkerStats,
-    /// Per-operation latency histograms (virtual-ns).
-    pub ops: OpLatencies,
-}
-
-fn hist_json(h: &HistogramSnapshot) -> String {
-    let mut o = JsonObj::new();
-    o.u64("count", h.count)
-        .u64("sum", h.sum)
-        .u64("max", h.max)
-        .u64("p50", h.p50())
-        .u64("p95", h.p95())
-        .u64("p99", h.p99())
-        .f64("mean", h.mean());
-    o.finish()
-}
-
-fn io_json(s: &IoStatsSnapshot) -> String {
-    let mut o = JsonObj::new();
-    o.u64("read_ops", s.read_ops)
-        .u64("write_ops", s.write_ops)
-        .u64("bytes_read", s.bytes_read)
-        .u64("bytes_written", s.bytes_written)
-        .u64("sequential_ops", s.sequential_ops)
-        .u64("random_ops", s.random_ops)
-        .u64("random_writes", s.random_writes)
-        .u64("busy_ns", s.busy_ns)
-        .u64("max_queue_depth", s.max_queue_depth)
-        .u64("queue_depth_sum", s.queue_depth_sum)
-        .u64("max_block_wear", s.max_block_wear)
-        .u64("touched_blocks", s.touched_blocks);
-    o.finish()
-}
-
-fn io_from_json(v: &JsonValue) -> Option<IoStatsSnapshot> {
-    Some(IoStatsSnapshot {
-        read_ops: v.get_u64("read_ops")?,
-        write_ops: v.get_u64("write_ops")?,
-        bytes_read: v.get_u64("bytes_read")?,
-        bytes_written: v.get_u64("bytes_written")?,
-        sequential_ops: v.get_u64("sequential_ops")?,
-        random_ops: v.get_u64("random_ops")?,
-        random_writes: v.get_u64("random_writes")?,
-        busy_ns: v.get_u64("busy_ns")?,
-        max_queue_depth: v.get_u64("max_queue_depth")?,
-        queue_depth_sum: v.get_u64("queue_depth_sum")?,
-        max_block_wear: v.get_u64("max_block_wear")?,
-        touched_blocks: v.get_u64("touched_blocks")?,
-    })
-}
-
-fn cache_json(c: &CacheStatsSnapshot) -> String {
-    let mut o = JsonObj::new();
-    o.u64("hits", c.hits)
-        .u64("misses", c.misses)
-        .u64("insertions", c.insertions)
-        .u64("evictions", c.evictions)
-        .u64("promotions", c.promotions)
-        .u64("demotions", c.demotions)
-        .u64("rejected", c.rejected)
-        .u64("tier2_hits", c.tier2_hits)
-        .u64("tier2_insertions", c.tier2_insertions)
-        .u64("tier2_evictions", c.tier2_evictions)
-        .u64("data_bytes", c.data_bytes)
-        .u64("probation_bytes", c.probation_bytes)
-        .u64("protected_bytes", c.protected_bytes)
-        .u64("meta_bytes", c.meta_bytes)
-        .u64("disk_bytes", c.disk_bytes)
-        .u64("tier2_bytes", c.tier2_bytes)
-        .f64("hit_rate", c.hit_rate());
-    o.finish()
-}
-
-fn cache_from_json(v: &JsonValue) -> Option<CacheStatsSnapshot> {
-    Some(CacheStatsSnapshot {
-        hits: v.get_u64("hits")?,
-        misses: v.get_u64("misses")?,
-        insertions: v.get_u64("insertions")?,
-        evictions: v.get_u64("evictions")?,
-        promotions: v.get_u64("promotions")?,
-        demotions: v.get_u64("demotions")?,
-        rejected: v.get_u64("rejected")?,
-        tier2_hits: v.get_u64("tier2_hits")?,
-        tier2_insertions: v.get_u64("tier2_insertions")?,
-        tier2_evictions: v.get_u64("tier2_evictions")?,
-        data_bytes: v.get_u64("data_bytes")?,
-        probation_bytes: v.get_u64("probation_bytes")?,
-        protected_bytes: v.get_u64("protected_bytes")?,
-        meta_bytes: v.get_u64("meta_bytes")?,
-        disk_bytes: v.get_u64("disk_bytes")?,
-        tier2_bytes: v.get_u64("tier2_bytes")?,
-    })
-}
-
-fn merge_json(m: &MergeReport) -> String {
-    let mut o = JsonObj::new();
-    o.u64("inputs", m.inputs as u64)
-        .u64("fan_in", m.fan_in as u64)
-        .u64("blocks_moved", m.blocks_moved)
-        .u64("blocks_merged", m.blocks_merged)
-        .u64("bytes_moved", m.bytes_moved)
-        .u64("bytes_decoded", m.bytes_decoded)
-        .u64("entries_out", m.entries_out)
-        .u64("peak_merge_entries", m.peak_merge_entries);
-    o.finish()
-}
-
-fn merge_from_json(v: &JsonValue) -> Option<MergeReport> {
-    Some(MergeReport {
-        inputs: v.get_u64("inputs")? as usize,
-        fan_in: v.get_u64("fan_in")? as usize,
-        blocks_moved: v.get_u64("blocks_moved")?,
-        blocks_merged: v.get_u64("blocks_merged")?,
-        bytes_moved: v.get_u64("bytes_moved")?,
-        bytes_decoded: v.get_u64("bytes_decoded")?,
-        entries_out: v.get_u64("entries_out")?,
-        peak_merge_entries: v.get_u64("peak_merge_entries")?,
-    })
-}
-
-fn compression_json(c: &CompressionReport) -> String {
-    let mut o = JsonObj::new();
-    o.u64("runs", c.runs)
-        .u64("blocks", c.blocks)
-        .u64("raw_bytes", c.raw_bytes)
-        .u64("stored_bytes", c.stored_bytes)
-        .u64("blocks_identity", c.blocks_identity)
-        .u64("blocks_delta", c.blocks_delta)
-        .u64("blocks_lz", c.blocks_lz)
-        .u64("codec_trials", c.codec_trials)
-        .u64("codec_trials_saved", c.codec_trials_saved)
-        .u64("lz_probes_skipped", c.lz_probes_skipped)
-        .f64("ratio", c.ratio());
-    o.finish()
-}
-
-fn compression_from_json(v: &JsonValue) -> Option<CompressionReport> {
-    Some(CompressionReport {
-        runs: v.get_u64("runs")?,
-        blocks: v.get_u64("blocks")?,
-        raw_bytes: v.get_u64("raw_bytes")?,
-        stored_bytes: v.get_u64("stored_bytes")?,
-        blocks_identity: v.get_u64("blocks_identity")?,
-        blocks_delta: v.get_u64("blocks_delta")?,
-        blocks_lz: v.get_u64("blocks_lz")?,
-        codec_trials: v.get_u64("codec_trials")?,
-        codec_trials_saved: v.get_u64("codec_trials_saved")?,
-        lz_probes_skipped: v.get_u64("lz_probes_skipped")?,
-    })
-}
-
-fn worker_json(w: &WorkerStats) -> String {
-    let mut o = JsonObj::new();
-    o.u64("threads", w.threads)
-        .u64("queue_depth", w.queue_depth)
-        .u64("backlog_bytes", w.backlog_bytes)
-        .u64("jobs_completed", w.jobs_completed)
-        .u64("jobs_retried", w.jobs_retried)
-        .u64("jobs_failed", w.jobs_failed)
-        .u64("flushes", w.flushes)
-        .u64("merges", w.merges)
-        .u64("migrations", w.migrations)
-        .u64("epoch_lag", w.epoch_lag);
-    o.finish()
-}
-
-fn worker_from_json(v: &JsonValue) -> Option<WorkerStats> {
-    Some(WorkerStats {
-        threads: v.get_u64("threads")?,
-        queue_depth: v.get_u64("queue_depth")?,
-        backlog_bytes: v.get_u64("backlog_bytes")?,
-        jobs_completed: v.get_u64("jobs_completed")?,
-        jobs_retried: v.get_u64("jobs_retried")?,
-        jobs_failed: v.get_u64("jobs_failed")?,
-        flushes: v.get_u64("flushes")?,
-        merges: v.get_u64("merges")?,
-        migrations: v.get_u64("migrations")?,
-        epoch_lag: v.get_u64("epoch_lag")?,
-    })
-}
-
-impl WorkerStats {
-    /// Difference between two snapshots (self − earlier). The gauges
-    /// (`threads`, `queue_depth`, `backlog_bytes`, `epoch_lag`) are
-    /// carried from `self`; the counters subtract.
-    #[must_use]
-    pub fn delta(&self, earlier: &WorkerStats) -> WorkerStats {
-        WorkerStats {
-            threads: self.threads,
-            queue_depth: self.queue_depth,
-            backlog_bytes: self.backlog_bytes,
-            jobs_completed: self.jobs_completed - earlier.jobs_completed,
-            jobs_retried: self.jobs_retried - earlier.jobs_retried,
-            jobs_failed: self.jobs_failed - earlier.jobs_failed,
-            flushes: self.flushes - earlier.flushes,
-            merges: self.merges - earlier.merges,
-            migrations: self.migrations - earlier.migrations,
-            epoch_lag: self.epoch_lag,
-        }
+stats_family! {
+    /// The `ingested` object of [`EngineStats::to_json`].
+    struct Ingested: to_json {
+        pub updates: u64,
+        pub bytes: u64,
     }
-
-    /// Combine per-shard worker views. The counters add (each shard's
-    /// jobs are counted by its own shard-tagged counters); the gauges
-    /// (`threads`, `queue_depth`, `backlog_bytes`) take the max — the
-    /// shards of one engine *share* one pool, so each reports the same
-    /// pool-wide level and summing would multiply it by the shard
-    /// count. `epoch_lag` takes the worst shard's lag.
-    #[must_use]
-    pub fn merge(&self, other: &WorkerStats) -> WorkerStats {
-        WorkerStats {
-            threads: self.threads.max(other.threads),
-            queue_depth: self.queue_depth.max(other.queue_depth),
-            backlog_bytes: self.backlog_bytes.max(other.backlog_bytes),
-            jobs_completed: self.jobs_completed + other.jobs_completed,
-            jobs_retried: self.jobs_retried + other.jobs_retried,
-            jobs_failed: self.jobs_failed + other.jobs_failed,
-            flushes: self.flushes + other.flushes,
-            merges: self.merges + other.merges,
-            migrations: self.migrations + other.migrations,
-            epoch_lag: self.epoch_lag.max(other.epoch_lag),
-        }
-    }
-}
-
-fn wear_json(w: &WearStats) -> String {
-    let mut o = JsonObj::new();
-    o.u64("max_writes_per_block", w.max_writes_per_block)
-        .f64("mean_writes_per_block", w.mean_writes_per_block)
-        .u64("blocks_touched", w.blocks_touched)
-        .f64("cv", w.cv);
-    o.finish()
 }
 
 impl EngineStats {
-    /// One compact JSON object with every family nested under a stable
-    /// key: `ingested`, `buffer`, `runs`, `cache`, `merge`,
-    /// `compression`, `ssd`, `ssd_wear`, `wal`, and `ops` (six latency
-    /// histograms). `random_writes` is additionally lifted to the top
-    /// level so the paper's zero-random-write invariant is greppable in
-    /// every NDJSON row.
+    /// SSD random writes so far — MaSM design goal 2 says zero.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut ops = JsonObj::new();
-        self.ops.for_each(|name, h| {
-            ops.raw(name, &hist_json(h));
-        });
-        let mut ingested = JsonObj::new();
-        ingested
-            .u64("updates", self.ingested_updates)
-            .u64("bytes", self.ingested_bytes);
-        let mut buffer = JsonObj::new();
-        buffer
-            .u64("updates", self.buffer.updates)
-            .u64("bytes", self.buffer.bytes)
-            .u64("capacity_bytes", self.buffer.capacity_bytes);
-        let mut runs = JsonObj::new();
-        runs.u64("count", self.runs.count)
-            .u64("cached_bytes", self.runs.cached_bytes)
-            .u64("ssd_capacity_bytes", self.runs.ssd_capacity_bytes);
-        let mut o = JsonObj::new();
-        o.u64("at_ns", self.at_ns)
-            .u64("random_writes", self.ssd.random_writes)
-            .raw("ingested", &ingested.finish())
-            .raw("buffer", &buffer.finish())
-            .raw("runs", &runs.finish())
-            .raw("cache", &cache_json(&self.cache))
-            .raw("merge", &merge_json(&self.merge))
-            .raw("compression", &compression_json(&self.compression))
-            .raw("ssd", &io_json(&self.ssd))
-            .raw("ssd_wear", &wear_json(&self.ssd_wear))
-            .raw("wal", &io_json(&self.wal))
-            .raw("workers", &worker_json(&self.workers))
-            .raw("ops", &ops.finish());
-        o.finish()
+    pub fn random_writes(&self) -> u64 {
+        self.ssd.random_writes
     }
 
-    /// Monotonic difference `self − earlier`. Counter families
-    /// subtract; byte gauges (buffer, runs, cache levels) are *not*
-    /// carried into the delta — read them off the newer snapshot.
+    fn ingested(&self) -> Ingested {
+        Ingested {
+            updates: self.ingested_updates,
+            bytes: self.ingested_bytes,
+        }
+    }
+
+    /// Monotonic difference `self − earlier`: the counter families'
+    /// deltas. Byte gauges (buffer, runs, wear) are *not* carried into
+    /// the delta — read them off the newer snapshot.
     ///
     /// Panics (in debug builds) if `earlier` is actually newer: every
     /// cumulative counter must be monotone non-decreasing between two
     /// snapshots of the same engine.
     #[must_use]
     pub fn delta(&self, earlier: &EngineStats) -> StatsDelta {
+        let ops = self.ops.delta(&earlier.ops);
+        let op = |h: HistogramSnapshot| OpCountDelta {
+            count: h.count,
+            sum_ns: h.sum,
+        };
         StatsDelta {
             elapsed_ns: self.at_ns - earlier.at_ns,
             ingested_updates: self.ingested_updates - earlier.ingested_updates,
@@ -469,50 +528,13 @@ impl EngineStats {
             wal: self.wal.delta(&earlier.wal),
             workers: self.workers.delta(&earlier.workers),
             ops: OpCountDeltas {
-                ingest: OpCountDelta::between(&earlier.ops.ingest, &self.ops.ingest),
-                get: OpCountDelta::between(&earlier.ops.get, &self.ops.get),
-                scan_next: OpCountDelta::between(&earlier.ops.scan_next, &self.ops.scan_next),
-                flush: OpCountDelta::between(&earlier.ops.flush, &self.ops.flush),
-                migrate: OpCountDelta::between(&earlier.ops.migrate, &self.ops.migrate),
-                block_fetch: OpCountDelta::between(&earlier.ops.block_fetch, &self.ops.block_fetch),
+                ingest: op(ops.ingest),
+                get: op(ops.get),
+                scan_next: op(ops.scan_next),
+                flush: op(ops.flush),
+                migrate: op(ops.migrate),
+                block_fetch: op(ops.block_fetch),
             },
-        }
-    }
-
-    /// Combine two shards' snapshots into the global engine view: the
-    /// snapshot a single engine covering both shards' work would have
-    /// produced. Counters and disjoint-resource gauges (buffer, runs,
-    /// cache bytes, flash capacity) add; high-water marks (`fan_in`,
-    /// queue depths, wear maxima) take the larger side; the wear
-    /// summary recombines exactly via moments
-    /// ([`WearStats::merge`](masm_storage::WearStats::merge)); worker
-    /// *pool* gauges take the max because shards share one pool.
-    ///
-    /// `merge` is associative and commutative, and commutes with
-    /// [`EngineStats::delta`] when all snapshots are taken on one
-    /// shared clock (`at_ns` equal across shards at each sampling
-    /// instant) — the property the aggregation proptest pins, so
-    /// summing per-shard deltas equals the delta of summed snapshots.
-    #[must_use]
-    pub fn merge(&self, other: &EngineStats) -> EngineStats {
-        let mut merge_totals = self.merge;
-        merge_totals.absorb(&other.merge);
-        let mut compression = self.compression;
-        compression.absorb(&other.compression);
-        EngineStats {
-            at_ns: self.at_ns.max(other.at_ns),
-            ingested_updates: self.ingested_updates + other.ingested_updates,
-            ingested_bytes: self.ingested_bytes + other.ingested_bytes,
-            buffer: self.buffer.merge(&other.buffer),
-            runs: self.runs.merge(&other.runs),
-            cache: self.cache.merge(&other.cache),
-            merge: merge_totals,
-            compression,
-            ssd: self.ssd.merge(&other.ssd),
-            ssd_wear: self.ssd_wear.merge(&other.ssd_wear),
-            wal: self.wal.merge(&other.wal),
-            workers: self.workers.merge(&other.workers),
-            ops: self.ops.merge(&other.ops),
         }
     }
 
@@ -542,107 +564,71 @@ impl EngineStats {
     }
 }
 
-/// Count/sum delta of one latency family between two snapshots.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpCountDelta {
-    /// Operations in the interval (unit: ops).
-    pub count: u64,
-    /// Total latency in the interval (unit: virtual-ns).
-    pub sum_ns: u64,
-}
-
-impl OpCountDelta {
-    fn between(earlier: &HistogramSnapshot, now: &HistogramSnapshot) -> Self {
-        OpCountDelta {
-            count: now.count - earlier.count,
-            sum_ns: now.sum - earlier.sum,
-        }
-    }
-
-    fn to_json(self) -> String {
-        let mut o = JsonObj::new();
-        o.u64("count", self.count).u64("sum_ns", self.sum_ns);
-        o.finish()
-    }
-
-    fn from_json(v: &JsonValue) -> Option<Self> {
-        Some(OpCountDelta {
-            count: v.get_u64("count")?,
-            sum_ns: v.get_u64("sum_ns")?,
-        })
-    }
-
-    /// Combine per-shard interval deltas (counts and latency sums add).
-    #[must_use]
-    pub fn merge(&self, other: &OpCountDelta) -> OpCountDelta {
-        OpCountDelta {
-            count: self.count + other.count,
-            sum_ns: self.sum_ns.wrapping_add(other.sum_ns),
-        }
+stats_family! {
+    /// Count/sum delta of one latency family between two snapshots.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct OpCountDelta: merge, to_json, from_json {
+        /// Operations in the interval (unit: ops).
+        pub count: u64 = sum,
+        /// Total latency in the interval (unit: virtual-ns).
+        pub sum_ns: u64 = sum,
     }
 }
 
-/// Per-operation count/sum deltas (fields mirror [`OpLatencies`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpCountDeltas {
-    /// `apply_update` calls.
-    pub ingest: OpCountDelta,
-    /// Point lookups.
-    pub get: OpCountDelta,
-    /// Scan records yielded.
-    pub scan_next: OpCountDelta,
-    /// Buffer flushes.
-    pub flush: OpCountDelta,
-    /// Migrations.
-    pub migrate: OpCountDelta,
-    /// Run-scan block fetches.
-    pub block_fetch: OpCountDelta,
-}
-
-impl OpCountDeltas {
-    /// Combine per-shard interval deltas family-wise.
-    #[must_use]
-    pub fn merge(&self, other: &OpCountDeltas) -> OpCountDeltas {
-        OpCountDeltas {
-            ingest: self.ingest.merge(&other.ingest),
-            get: self.get.merge(&other.get),
-            scan_next: self.scan_next.merge(&other.scan_next),
-            flush: self.flush.merge(&other.flush),
-            migrate: self.migrate.merge(&other.migrate),
-            block_fetch: self.block_fetch.merge(&other.block_fetch),
-        }
+stats_family! {
+    /// Per-operation count/sum deltas (fields mirror [`OpLatencies`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct OpCountDeltas: merge, to_json, from_json {
+        /// `apply_update` calls.
+        pub ingest: OpCountDelta = sum,
+        /// Point lookups.
+        pub get: OpCountDelta = sum,
+        /// Scan records yielded.
+        pub scan_next: OpCountDelta = sum,
+        /// Buffer flushes.
+        pub flush: OpCountDelta = sum,
+        /// Migrations.
+        pub migrate: OpCountDelta = sum,
+        /// Run-scan block fetches.
+        pub block_fetch: OpCountDelta = sum,
     }
 }
 
-/// The monotonic difference between two [`EngineStats`] snapshots of
-/// one engine: every field is "what happened in the interval", so rates
-/// (e.g. [`StatsDelta::updates_per_sec`]) are first-class. Serializes
-/// to one JSON object and parses back exactly
-/// ([`StatsDelta::from_json`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsDelta {
-    /// Interval length (unit: virtual-ns).
-    pub elapsed_ns: u64,
-    /// Updates ingested in the interval (unit: ops).
-    pub ingested_updates: u64,
-    /// Logical update bytes ingested (unit: bytes).
-    pub ingested_bytes: u64,
-    /// Cache counter deltas (byte gauges carried from the newer
-    /// snapshot, as documented on [`CacheStatsSnapshot::delta`]).
-    pub cache: CacheStatsSnapshot,
-    /// Merge-counter deltas (`fan_in` carried, it is a high-water mark).
-    pub merge: MergeReport,
-    /// Compression-counter deltas.
-    pub compression: CompressionReport,
-    /// SSD I/O deltas (wear fields carried, they are levels).
-    pub ssd: IoStatsSnapshot,
-    /// WAL I/O deltas.
-    pub wal: IoStatsSnapshot,
-    /// Worker-pool counter deltas (gauges carried, as documented on
-    /// [`WorkerStats::delta`]).
-    pub workers: WorkerStats,
-    /// Per-operation count/latency-sum deltas.
-    pub ops: OpCountDeltas,
+stats_family! {
+    /// The monotonic difference between two [`EngineStats`] snapshots of
+    /// one engine: every field is "what happened in the interval", so rates
+    /// (e.g. [`StatsDelta::updates_per_sec`]) are first-class. Serializes
+    /// to one JSON object and parses back exactly
+    /// ([`StatsDelta::from_json`]).
+    ///
+    /// `merge` combines per-shard interval deltas with the same rules as
+    /// [`EngineStats::merge`]. `elapsed_ns` takes the max — per-shard
+    /// snapshots of one engine are cut on one shared clock, so the
+    /// intervals coincide and max (rather than sum) keeps rates honest.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct StatsDelta: merge, to_json, from_json {
+        /// Interval length (unit: virtual-ns).
+        pub elapsed_ns: u64 = peak,
+        /// Updates ingested in the interval (unit: ops).
+        pub ingested_updates: u64 = sum,
+        /// Logical update bytes ingested (unit: bytes).
+        pub ingested_bytes: u64 = sum [self, updates_per_sec],
+        /// Cache counter deltas (byte gauges carried from the newer
+        /// snapshot).
+        pub cache: CacheStatsSnapshot = sum,
+        /// Merge-counter deltas (`fan_in` carried, it is a high-water mark).
+        pub merge: MergeReport = sum,
+        /// Compression-counter deltas.
+        pub compression: CompressionReport = sum,
+        /// SSD I/O deltas (wear fields carried, they are levels).
+        pub ssd: IoStatsSnapshot = sum,
+        /// WAL I/O deltas.
+        pub wal: IoStatsSnapshot = sum,
+        /// Worker-pool counter deltas (gauges carried).
+        pub workers: WorkerStats = sum,
+        /// Per-operation count/latency-sum deltas.
+        pub ops: OpCountDeltas = sum,
+    }
 }
 
 impl StatsDelta {
@@ -656,31 +642,6 @@ impl StatsDelta {
         self.ingested_updates as f64 * 1e9 / self.elapsed_ns as f64
     }
 
-    /// Combine per-shard interval deltas into the global interval: the
-    /// same rules as [`EngineStats::merge`] applied to "what happened"
-    /// fields. `elapsed_ns` takes the max — per-shard snapshots of one
-    /// engine are cut on one shared clock, so the intervals coincide
-    /// and max (rather than sum) keeps rates honest.
-    #[must_use]
-    pub fn merge(&self, other: &StatsDelta) -> StatsDelta {
-        let mut merge_totals = self.merge;
-        merge_totals.absorb(&other.merge);
-        let mut compression = self.compression;
-        compression.absorb(&other.compression);
-        StatsDelta {
-            elapsed_ns: self.elapsed_ns.max(other.elapsed_ns),
-            ingested_updates: self.ingested_updates + other.ingested_updates,
-            ingested_bytes: self.ingested_bytes + other.ingested_bytes,
-            cache: self.cache.merge(&other.cache),
-            merge: merge_totals,
-            compression,
-            ssd: self.ssd.merge(&other.ssd),
-            wal: self.wal.merge(&other.wal),
-            workers: self.workers.merge(&other.workers),
-            ops: self.ops.merge(&other.ops),
-        }
-    }
-
     /// SSD write bandwidth over the interval (unit: bytes per virtual
     /// second).
     #[must_use]
@@ -689,57 +650,6 @@ impl StatsDelta {
             return 0.0;
         }
         self.ssd.bytes_written as f64 * 1e9 / self.elapsed_ns as f64
-    }
-
-    /// One compact JSON object; [`StatsDelta::from_json`] inverts it.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut ops = JsonObj::new();
-        ops.raw("ingest", &self.ops.ingest.to_json())
-            .raw("get", &self.ops.get.to_json())
-            .raw("scan_next", &self.ops.scan_next.to_json())
-            .raw("flush", &self.ops.flush.to_json())
-            .raw("migrate", &self.ops.migrate.to_json())
-            .raw("block_fetch", &self.ops.block_fetch.to_json());
-        let mut o = JsonObj::new();
-        o.u64("elapsed_ns", self.elapsed_ns)
-            .u64("ingested_updates", self.ingested_updates)
-            .u64("ingested_bytes", self.ingested_bytes)
-            .f64("updates_per_sec", self.updates_per_sec())
-            .raw("cache", &cache_json(&self.cache))
-            .raw("merge", &merge_json(&self.merge))
-            .raw("compression", &compression_json(&self.compression))
-            .raw("ssd", &io_json(&self.ssd))
-            .raw("wal", &io_json(&self.wal))
-            .raw("workers", &worker_json(&self.workers))
-            .raw("ops", &ops.finish());
-        o.finish()
-    }
-
-    /// Parse a value produced by [`StatsDelta::to_json`]. Returns
-    /// `None` on any missing or mistyped field.
-    #[must_use]
-    pub fn from_json(v: &JsonValue) -> Option<StatsDelta> {
-        let ops = v.get("ops")?;
-        Some(StatsDelta {
-            elapsed_ns: v.get_u64("elapsed_ns")?,
-            ingested_updates: v.get_u64("ingested_updates")?,
-            ingested_bytes: v.get_u64("ingested_bytes")?,
-            cache: cache_from_json(v.get("cache")?)?,
-            merge: merge_from_json(v.get("merge")?)?,
-            compression: compression_from_json(v.get("compression")?)?,
-            ssd: io_from_json(v.get("ssd")?)?,
-            wal: io_from_json(v.get("wal")?)?,
-            workers: worker_from_json(v.get("workers")?)?,
-            ops: OpCountDeltas {
-                ingest: OpCountDelta::from_json(ops.get("ingest")?)?,
-                get: OpCountDelta::from_json(ops.get("get")?)?,
-                scan_next: OpCountDelta::from_json(ops.get("scan_next")?)?,
-                flush: OpCountDelta::from_json(ops.get("flush")?)?,
-                migrate: OpCountDelta::from_json(ops.get("migrate")?)?,
-                block_fetch: OpCountDelta::from_json(ops.get("block_fetch")?)?,
-            },
-        })
     }
 }
 
@@ -909,5 +819,107 @@ mod tests {
         let zero = StatsDelta::default();
         let back = StatsDelta::from_json(&parse(&zero.to_json()).unwrap()).unwrap();
         assert_eq!(zero, back);
+    }
+
+    #[test]
+    fn cache_stats_roundtrip() {
+        let snap = CacheStatsSnapshot {
+            hits: 2,
+            misses: 1,
+            insertions: 1,
+            evictions: 1,
+            data_bytes: 64,
+            ..CacheStatsSnapshot::default()
+        };
+        assert!((snap.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
+        let later = CacheStatsSnapshot {
+            misses: 2,
+            data_bytes: 32,
+            ..snap
+        };
+        let d = later.delta(&snap);
+        assert_eq!((d.hits, d.misses), (0, 1), "counters subtract");
+        assert_eq!(d.data_bytes, 32, "byte gauges carry the newer level");
+        assert_eq!(
+            snap.merge(&later).data_bytes,
+            96,
+            "levels add across shards"
+        );
+        let back = CacheStatsSnapshot::from_json(&parse(&later.to_json()).unwrap());
+        assert_eq!(back, Some(later));
+        assert_eq!(CacheStatsSnapshot::default().hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn compression_report_absorb_ratio_and_savings() {
+        let mut total = CompressionReport::default();
+        assert_eq!(total.ratio(), 1.0, "idle report is neutral");
+        assert_eq!(total.savings(), 0.0);
+        total = total.merge(&CompressionReport {
+            runs: 1,
+            blocks: 4,
+            raw_bytes: 1000,
+            stored_bytes: 600,
+            blocks_identity: 1,
+            blocks_delta: 2,
+            blocks_lz: 1,
+            codec_trials: 4,
+            codec_trials_saved: 4,
+            lz_probes_skipped: 1,
+        });
+        total = total.merge(&CompressionReport {
+            runs: 1,
+            blocks: 2,
+            raw_bytes: 1000,
+            stored_bytes: 400,
+            blocks_lz: 2,
+            ..CompressionReport::default()
+        });
+        assert_eq!(total.runs, 2);
+        assert_eq!(total.blocks, 6);
+        assert_eq!(total.blocks_lz, 3);
+        assert_eq!(total.codec_trials, 4);
+        assert_eq!(total.codec_trials_saved, 4);
+        assert_eq!(total.lz_probes_skipped, 1);
+        assert!((total.ratio() - 0.5).abs() < 1e-9);
+        assert!((total.savings() - 0.5).abs() < 1e-9);
+        let grown = CompressionReport {
+            raw_bytes: 100,
+            stored_bytes: 120,
+            ..CompressionReport::default()
+        };
+        assert_eq!(grown.savings(), 0.0, "growth floors at zero savings");
+    }
+
+    #[test]
+    fn merge_report_absorb_and_ratio() {
+        let mut total = MergeReport::default();
+        assert_eq!(total.move_ratio(), 0.0);
+        total = total.merge(&MergeReport {
+            inputs: 2,
+            fan_in: 2,
+            blocks_moved: 3,
+            blocks_merged: 1,
+            bytes_moved: 300,
+            bytes_decoded: 100,
+            entries_out: 40,
+            peak_merge_entries: 7,
+        });
+        total = total.merge(&MergeReport {
+            inputs: 3,
+            fan_in: 3,
+            blocks_moved: 1,
+            blocks_merged: 0,
+            bytes_moved: 100,
+            bytes_decoded: 0,
+            entries_out: 10,
+            peak_merge_entries: 3,
+        });
+        assert_eq!(total.inputs, 5);
+        assert_eq!(total.fan_in, 3);
+        assert_eq!(total.peak_merge_entries, 7);
+        assert_eq!(total.blocks_moved, 4);
+        assert_eq!(total.entries_out, 50);
+        assert!((total.move_ratio() - 0.8).abs() < 1e-9);
     }
 }

@@ -14,18 +14,12 @@ use crate::stats::EngineStats;
 
 /// A source of "now" for time-series rows, in nanoseconds from an
 /// arbitrary origin. One trait covers both time domains the workspace
-/// runs in: the simulator's virtual [`masm_storage::SimClock`] and real
-/// wall time ([`WallClock`]), so the same driver loop exports NDJSON in
-/// either mode.
+/// runs in: the simulator's virtual clock (`masm_storage::SimClock`
+/// implements it) and real wall time ([`WallClock`]), so the same
+/// driver loop exports NDJSON in either mode.
 pub trait ClockSource: std::fmt::Debug {
     /// Nanoseconds since this source's origin.
     fn now_ns(&self) -> u64;
-}
-
-impl ClockSource for masm_storage::SimClock {
-    fn now_ns(&self) -> u64 {
-        self.now()
-    }
 }
 
 /// Wall-clock [`ClockSource`]: nanoseconds since the instant it was
@@ -277,10 +271,26 @@ mod tests {
         assert_eq!(delta.elapsed_ns, 1_000_000_000);
     }
 
+    /// A manually advanced clock, shared between the test and the
+    /// writer — deterministic in tests.
+    #[derive(Debug, Clone, Default)]
+    struct ManualClock(std::sync::Arc<std::sync::atomic::AtomicU64>);
+
+    impl ManualClock {
+        fn advance_by(&self, ns: u64) {
+            self.0.fetch_add(ns, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    impl ClockSource for ManualClock {
+        fn now_ns(&self) -> u64 {
+            self.0.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
     #[test]
     fn wall_clock_stamps_rows_when_configured() {
-        // A SimClock is a ClockSource too — deterministic in tests.
-        let clock = masm_storage::SimClock::default();
+        let clock = ManualClock::default();
         clock.advance_by(42);
         let mut ts = TimeSeriesWriter::new(Vec::new(), 100).with_clock(clock.clone());
         ts.poll(&stats_at(0, 0)).unwrap();
