@@ -146,10 +146,8 @@ impl EngineMetrics {
     fn new(cache: &BlockCache) -> Self {
         let registry = Registry::new();
         let h = |name, help| registry.histogram("op", name, Unit::VirtualNs, help);
-        let merge = MergeCounters::new();
-        merge.attach(&registry);
-        let compression = CompressionCounters::new();
-        compression.attach(&registry);
+        let merge = MergeCounters::registered(&registry);
+        let compression = CompressionCounters::registered(&registry);
         cache.bind_registry(&registry);
         EngineMetrics {
             ingest: h(
@@ -850,18 +848,12 @@ impl MasmEngine {
         let workers = match self.workers.get() {
             Some(h) => {
                 let (queue_depth, backlog_bytes) = h.pool().depths();
-                let counters = h.pool().counters(self.shard_id);
                 WorkerStats {
                     threads: h.pool().threads as u64,
                     queue_depth,
                     backlog_bytes,
-                    jobs_completed: counters.jobs_completed.get(),
-                    jobs_retried: counters.jobs_retried.get(),
-                    jobs_failed: counters.jobs_failed.get(),
-                    flushes: counters.flushes.get(),
-                    merges: counters.merges.get(),
-                    migrations: counters.migrations.get(),
                     epoch_lag,
+                    ..h.pool().counters(self.shard_id).snapshot()
                 }
             }
             None => WorkerStats {

@@ -48,7 +48,7 @@ use std::thread::JoinHandle;
 use parking_lot::Condvar;
 
 use masm_storage::{Ns, TrackedMutex};
-use masm_telemetry::{Counter, Gauge, Registry, Unit};
+use masm_telemetry::{counter_set, Gauge, Registry, Unit, WorkerStats};
 
 use crate::engine::MasmEngine;
 
@@ -99,31 +99,19 @@ struct PoolState {
     shutdown: bool,
 }
 
-/// Registry-backed monotonic event counters, incremented by the workers
-/// themselves at the point each event happens (satellite rule: the
-/// subsystem pushes its own metrics; the engine only reads them). One
-/// set per shard, registered into that shard's registry, so per-shard
-/// `EngineStats` rows sum to the pool's true totals.
-pub(crate) struct WorkerCounters {
-    pub jobs_completed: Arc<Counter>,
-    pub jobs_retried: Arc<Counter>,
-    pub jobs_failed: Arc<Counter>,
-    pub flushes: Arc<Counter>,
-    pub merges: Arc<Counter>,
-    pub migrations: Arc<Counter>,
-}
-
-impl WorkerCounters {
-    fn new(registry: &Registry) -> Self {
-        let c = |name, help| registry.counter("worker", name, Unit::Ops, help);
-        WorkerCounters {
-            jobs_completed: c("jobs_completed", "background jobs that succeeded"),
-            jobs_retried: c("jobs_retried", "background jobs re-queued after an error"),
-            jobs_failed: c("jobs_failed", "background jobs abandoned after max retries"),
-            flushes: c("flushes", "1-pass runs materialized by workers"),
-            merges: c("merges", "2-pass merges executed by workers"),
-            migrations: c("migrations", "migrations executed by workers"),
-        }
+counter_set! {
+    /// Registry-backed monotonic event counters, incremented by the
+    /// workers themselves at the point each event happens (the subsystem
+    /// pushes its own metrics; the engine only reads them). One set per
+    /// shard, registered into that shard's registry, so per-shard
+    /// `EngineStats` rows sum to the pool's true totals.
+    pub(crate) struct WorkerCounters for WorkerStats in "worker" {
+        jobs_completed: counter(Ops, "background jobs that succeeded"),
+        jobs_retried: counter(Ops, "background jobs re-queued after an error"),
+        jobs_failed: counter(Ops, "background jobs abandoned after max retries"),
+        flushes: counter(Ops, "1-pass runs materialized by workers"),
+        merges: counter(Ops, "2-pass merges executed by workers"),
+        migrations: counter(Ops, "migrations executed by workers"),
     }
 }
 
@@ -173,7 +161,10 @@ impl WorkerPool {
             }),
             work: Condvar::new(),
             space: Condvar::new(),
-            counters: registries.iter().map(|r| WorkerCounters::new(r)).collect(),
+            counters: registries
+                .iter()
+                .map(|r| WorkerCounters::registered(r))
+                .collect(),
             queue_depth: g("queue_depth", Unit::Ops, "jobs waiting in the worker queue"),
             backlog_gauge: g(
                 "backlog_bytes",

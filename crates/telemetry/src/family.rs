@@ -13,7 +13,8 @@
 //! `to_json` writes one compact object with the fields in declaration
 //! order and `from_json` parses it back (`None` on any missing or
 //! mistyped field). A field whose type is itself a family uses `sum`:
-//! its `delta` and `merge` recurse. A bracket after the rule lists what
+//! its `delta` and `merge` recurse. A family that derives neither
+//! `delta` nor `merge` may leave the rules out. A bracket after the rule lists what
 //! the field contributes to the JSON object, in order: `self` is the
 //! field, any other name is a method of the struct whose value is
 //! written under that name (`[self, hit_rate]`), and `[]` leaves the
@@ -21,7 +22,7 @@
 //!
 //! ```
 //! masm_telemetry::stats_family! {
-//!     /// Reads served and their bytes.
+//!     /// Reads served and the deepest queue seen.
 //!     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 //!     pub struct Reads: delta, merge, to_json, from_json {
 //!         /// Reads served (unit: ops).
@@ -39,6 +40,10 @@
 //! The traits below are the per-field plumbing the generated code
 //! calls; a hand-written type (a histogram, the wear summary) joins a
 //! family by implementing the ones its rules need.
+//!
+//! [`counter_set!`](crate::counter_set) declares the live side: the
+//! registry-backed counters and gauges a subsystem bumps, read back
+//! into its family's snapshot.
 
 use crate::json::{JsonObj, JsonValue};
 
@@ -98,12 +103,6 @@ scalar_stat!(u64, usize);
 impl JsonWrite for f64 {
     fn write_json(&self, key: &str, o: &mut JsonObj) {
         o.f64(key, *self);
-    }
-}
-
-impl JsonRead for f64 {
-    fn read_json(v: &JsonValue, key: &str) -> Option<Self> {
-        v.get_f64(key)
     }
 }
 
@@ -225,15 +224,17 @@ macro_rules! stats_family {
 /// Declare the live store behind a stats family: one registry-backed
 /// metric per listed field, so a subsystem's snapshot and its exported
 /// metrics are the same atomics. Each field names its kind — `counter`
-/// (an [`Counter`](crate::Counter), `record` adds), `peak` (a
+/// (a [`Counter`](crate::Counter), `record` adds), `peak` (a
 /// [`Gauge`](crate::Gauge) high-water mark, `record` raises it) or
 /// `level` (a gauge the owner sets) — plus its unit and help string.
-/// The generated private methods are `new` (unregistered metrics),
-/// `attach` (register them all under `family.field` with
+/// Fields and methods take the struct's visibility. The methods are
+/// `new` (unregistered metrics), `attach` (register them all under
+/// `family.field` with
 /// [`Registry::attach_counter`](crate::Registry::attach_counter) /
-/// [`Registry::attach_gauge`](crate::Registry::attach_gauge)),
-/// `record` (fold a snapshot in) and `snapshot` (read them back,
-/// unlisted fields at their defaults).
+/// [`Registry::attach_gauge`](crate::Registry::attach_gauge); a key
+/// the registry already holds keeps its first metric), `registered`
+/// (`new` then `attach`), `record` (fold a snapshot in) and `snapshot`
+/// (read them back, unlisted fields at their defaults).
 #[macro_export]
 macro_rules! counter_set {
     (
@@ -244,26 +245,32 @@ macro_rules! counter_set {
     ) => {
         $(#[$meta])*
         $vis struct $name {
-            $( $f: ::std::sync::Arc<$crate::counter_set!(@ty $kind)>, )*
+            $( $vis $f: ::std::sync::Arc<$crate::counter_set!(@ty $kind)>, )*
         }
 
         #[allow(dead_code)]
         impl $name {
-            fn new() -> Self {
+            $vis fn new() -> Self {
                 Self { $( $f: ::std::default::Default::default(), )* }
             }
 
-            fn attach(&self, registry: &$crate::Registry) {
+            $vis fn attach(&self, registry: &$crate::Registry) {
                 $( $crate::counter_set!(@attach $kind, registry, $family, $f,
                     ::std::sync::Arc::clone(&self.$f), $unit, $help); )*
             }
 
-            fn record(&self, r: &$snap) {
+            $vis fn registered(registry: &$crate::Registry) -> Self {
+                let set = Self::new();
+                set.attach(registry);
+                set
+            }
+
+            $vis fn record(&self, r: &$snap) {
                 $( $crate::counter_set!(@record $kind, self.$f, r.$f as u64); )*
             }
 
             #[allow(clippy::needless_update)]
-            fn snapshot(&self) -> $snap {
+            $vis fn snapshot(&self) -> $snap {
                 $snap { $( $f: self.$f.get() as _, )* ..::std::default::Default::default() }
             }
         }
