@@ -17,7 +17,7 @@ use masm_core::merge::{MergeDataUpdates, MergeUpdates, UpdateStream};
 use masm_core::run::{build_run, write_run, RunScan};
 use masm_core::update::{UpdateOp, UpdateRecord};
 use masm_core::wal::WalRecord;
-use masm_core::MasmEngine;
+use masm_core::{ShardManifest, ShardedEngine};
 use masm_pagestore::{HeapConfig, Page, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
@@ -169,12 +169,22 @@ fn bench_crc32(c: &mut Criterion) {
     group.finish();
 }
 
-/// Crash recovery over a redo log of 200k updates, each 1000 of them
-/// absorbed by a logged 1-pass run (created, later deleted) except the
-/// last 1000: the replay walks the whole log to rebuild that buffer.
+/// Crash recovery of a one-shard deployment over a redo log of its
+/// manifest and 200k updates, each 1000 of them absorbed by a logged
+/// 1-pass run (created, later deleted) except the last 1000: the replay
+/// walks the whole log to rebuild that buffer.
 fn bench_wal_replay(c: &mut Criterion) {
     const UPDATES: u64 = 200_000;
+    let cfg = MasmConfig::small_for_tests();
     let mut log = Vec::new();
+    WalRecord::Manifest(ShardManifest {
+        shards: 1,
+        shard_id: 0,
+        split_keys: Vec::new(),
+        ssd_region_base: cfg.ssd_region_base,
+        config_fingerprint: cfg.fingerprint(),
+    })
+    .encode_into(&mut log);
     for u in sample_updates(UPDATES) {
         let ts = u.ts;
         WalRecord::Update(u).encode_into(&mut log);
@@ -195,7 +205,6 @@ fn bench_wal_replay(c: &mut Criterion) {
     let clock = SimClock::new();
     let wal = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
     wal.write_at(0, 0, &log).unwrap();
-    let cfg = MasmConfig::small_for_tests();
     let mut group = c.benchmark_group("recovery");
     group.throughput(Throughput::Elements(UPDATES));
     group.bench_function("wal_replay_200k_updates", |b| {
@@ -203,16 +212,16 @@ fn bench_wal_replay(c: &mut Criterion) {
             let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
             let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
             let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-            let (_, report) = MasmEngine::recover(
+            let (_, report) = ShardedEngine::recover(
                 heap,
-                ssd,
-                wal.clone(),
+                vec![ssd],
+                vec![wal.clone()],
                 Schema::synthetic_100b(),
                 cfg.clone(),
             )
             .unwrap();
-            assert_eq!(report.updates_recovered, 1000);
-            black_box(report.wal_records_replayed)
+            assert_eq!(report.updates_recovered(), 1000);
+            black_box(report.wal_records_replayed())
         })
     });
     group.finish();

@@ -51,13 +51,13 @@ fn main() {
     // IU: same machine shape, cache the same number of updates.
     let iu_env = SyntheticEnv::new(mb);
     let iu = masm_baselines::IuEngine::new(
-        std::sync::Arc::clone(iu_env.engine.heap()),
+        std::sync::Arc::clone(iu_env.shard().heap()),
         iu_env.machine.ssd.clone(),
         iu_env.table.schema.clone(),
     );
     {
         let session = iu_env.machine.session();
-        let (masm_updates, _) = masm_fine.engine.ingest_stats();
+        let (masm_updates, _) = masm_fine.shard().ingest_stats();
         let mut gen = masm_workloads::synthetic::UpdateStreamGen::uniform(
             iu_env.table.clone(),
             masm_workloads::synthetic::UpdateMix::default(),

@@ -28,7 +28,7 @@ use masm_blockrun::{
     point_lookup, write_run as write_block_run, BlockCache, BlockRunConfig, Entry,
 };
 use masm_core::update::{UpdateOp, UpdateRecord};
-use masm_core::{CodecChoice, MasmConfig, MasmEngine};
+use masm_core::{CodecChoice, MasmConfig, ShardedEngine};
 use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, Ns, SessionHandle, SimClock, SimDevice};
 
@@ -262,15 +262,17 @@ fn main() {
         let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
         let mut cfg = MasmConfig::small_for_tests();
         cfg.codec = codec;
-        let engine = MasmEngine::new(heap, ssd.clone(), wal, schema.clone(), cfg).expect("engine");
+        let sharded = ShardedEngine::new(heap, vec![ssd.clone()], vec![wal], schema.clone(), cfg)
+            .expect("engine");
         let session = SessionHandle::fresh(clock);
-        engine
+        sharded
             .load_table(
                 &session,
                 (0..n_base).map(|i| Record::new(i * 2, payload(i as u32))),
                 1.0,
             )
             .expect("load");
+        let engine = &sharded.shards()[0];
         for i in 0..n_updates {
             engine
                 .apply_update(&session, i * 4 + 1, UpdateOp::Insert(payload(i as u32)))

@@ -29,9 +29,9 @@ fn compaction_overlapping(mb: u64) -> CompactionRow {
     let env = SyntheticEnv::new(mb);
     env.fill_cache(0.8, 7);
     let session = env.machine.session();
-    env.engine.flush_buffer(&session).expect("flush");
-    let runs_in = env.engine.run_count();
-    let report = env.engine.compact_runs(&session).expect("compaction");
+    env.shard().flush_buffer(&session).expect("flush");
+    let runs_in = env.shard().run_count();
+    let report = env.shard().compact_runs(&session).expect("compaction");
     CompactionRow {
         workload: "overlapping",
         runs_in,
@@ -48,14 +48,14 @@ fn compaction_disjoint(mb: u64) -> CompactionRow {
     let band_span = env.table.max_key() / bands;
     let payload = env.table.schema.empty_payload();
     // Stay well below the SSD capacity so every band flushes cleanly.
-    let budget = env.engine.config().ssd_capacity * 7 / 10 / bands;
+    let budget = env.shard().config().ssd_capacity * 7 / 10 / bands;
     'fill: for band in 0..bands {
-        let band_start = env.engine.cached_bytes();
+        let band_start = env.shard().cached_bytes();
         let mut i = 0u64;
-        while env.engine.cached_bytes() - band_start < budget || i < 64 {
+        while env.shard().cached_bytes() - band_start < budget || i < 64 {
             let key = band * band_span + (i * 37) % band_span.max(1);
             match env
-                .engine
+                .shard()
                 .apply_update(&session, key, UpdateOp::Replace(payload.clone()))
             {
                 Ok(_) => {}
@@ -64,13 +64,13 @@ fn compaction_disjoint(mb: u64) -> CompactionRow {
             }
             i += 1;
         }
-        match env.engine.flush_buffer(&session) {
+        match env.shard().flush_buffer(&session) {
             Ok(()) | Err(masm_core::MasmError::CacheFull { .. }) => {}
             Err(e) => panic!("flush failed: {e}"),
         }
     }
-    let runs_in = env.engine.run_count();
-    let report = env.engine.compact_runs(&session).expect("compaction");
+    let runs_in = env.shard().run_count();
+    let report = env.shard().compact_runs(&session).expect("compaction");
     CompactionRow {
         workload: "disjoint",
         runs_in,
@@ -92,7 +92,7 @@ fn main() {
     env.fill_cache(0.95, 42);
     let session = env.machine.session();
     let start = session.now();
-    let report = env.engine.migrate(&session).expect("migration");
+    let report = env.shard().migrate(&session).expect("migration");
     let mig_ns = session.now() - start;
 
     print_table(

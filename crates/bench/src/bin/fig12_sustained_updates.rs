@@ -49,7 +49,7 @@ fn main() {
         let env = SyntheticEnv::new(mb);
         let session = env.machine.session();
         let inplace = masm_baselines::InPlaceEngine::new(
-            std::sync::Arc::clone(env.engine.heap()),
+            std::sync::Arc::clone(env.shard().heap()),
             env.table.schema.clone(),
         );
         let mut gen = UpdateStreamGen::uniform(
@@ -94,34 +94,37 @@ fn main() {
         let mut migrations = 0;
         while migrations < 3 {
             let (key, op) = gen.next_update();
-            env.engine.apply_update(&session, key, op).unwrap();
+            env.shard().apply_update(&session, key, op).unwrap();
             applied += 1;
             if let Some(ts) = ts.as_mut() {
                 // Cheap when no sample is due; sampling itself is two
                 // short lock holds plus atomic loads.
-                ts.poll(&env.engine.stats()).unwrap();
+                ts.poll(&env.shard().stats()).unwrap();
             }
-            if env.engine.needs_migration() {
+            if env.shard().needs_migration() {
                 // "Every table scan incurs the migration of updates":
                 // the migration is itself the full-table merge scan.
-                env.engine.migrate(&session).unwrap();
+                env.shard().migrate(&session).unwrap();
                 migrations += 1;
                 if let Some(ts) = ts.as_mut() {
                     // A forced row after each migration captures the
                     // post-migration level drop even at coarse scales.
-                    ts.sample(&env.engine.stats()).unwrap();
+                    ts.sample(&env.shard().stats()).unwrap();
                 }
             }
         }
         let rate = applied as f64 / secs(session.now() - start);
-        let cache_kb = env.engine.config().ssd_capacity / 1024;
+        let cache_kb = env.shard().config().ssd_capacity / 1024;
         rows.push(vec![
             format!("{label} ({cache_kb} KiB flash)"),
             format!("{rate:.0}"),
         ]);
         if let Some(ts) = ts {
             let buf = String::from_utf8(ts.into_inner().unwrap()).unwrap();
-            series = Some((buf.lines().map(str::to_owned).collect(), env.engine.stats()));
+            series = Some((
+                buf.lines().map(str::to_owned).collect(),
+                env.shard().stats(),
+            ));
         }
     }
     let (ts_rows, end_stats) = series.expect("MaSM C run exports the time series");

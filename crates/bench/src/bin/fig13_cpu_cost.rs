@@ -40,7 +40,7 @@ fn main() {
             let session = baseline.machine.session();
             let start = session.now();
             let n = baseline
-                .engine
+                .shard()
                 .heap()
                 .scan_range(session.clone(), begin, end)
                 .with_cpu_per_record(cpu_ns)
@@ -81,14 +81,14 @@ fn main() {
         });
         env.fill_cache(0.5, 42);
         let session = env.machine.session();
-        let comp = env.engine.stats().compression;
-        let updates_cached = env.engine.ingest_stats().0;
+        let comp = env.shard().stats().compression;
+        let updates_cached = env.shard().ingest_stats().0;
 
         let t_scan = env.time_masm_scan(begin, end).max(1);
         let scan_mbps = env.table_bytes as f64 / 1e6 / secs(t_scan);
 
         let merge_start = session.now();
-        let report = env.engine.compact_runs(&session).expect("compact");
+        let report = env.shard().compact_runs(&session).expect("compact");
         let t_merge = (session.now() - merge_start).max(1);
         let merge_bytes = report.bytes_moved + report.bytes_decoded;
         let merge_mbps = merge_bytes as f64 / 1e6 / secs(t_merge);

@@ -64,9 +64,9 @@ fn run_mode(
         cfg.migration_threshold = 0.5;
     });
     if let Some(t) = tracer {
-        env.engine.install_tracer(Arc::clone(t));
+        env.engine.install_tracer(t);
     }
-    let cfg = env.engine.config().clone();
+    let cfg = env.shard().config().clone();
     let updater = env.machine.session();
     let mut gen = UpdateStreamGen::uniform(env.table.clone(), UpdateMix::default(), 31);
     // Enough updates per scan that (a) nearly every stop-the-world
@@ -84,7 +84,7 @@ fn run_mode(
         for _ in 0..per_scan {
             let (key, op) = gen.next_update();
             loop {
-                match env.engine.apply_update(&updater, key, op.clone()) {
+                match env.shard().apply_update(&updater, key, op.clone()) {
                     Ok(_) => break,
                     // Background mode: the flash filled before the
                     // worker's migration caught up — the real engine's
@@ -101,13 +101,13 @@ fn run_mode(
         // virtual time is exactly this scan's latency.
         let session = env.machine.session();
         let start = session.now();
-        if workers == 0 && env.engine.needs_migration() {
+        if workers == 0 && env.shard().needs_migration() {
             // Stop-the-world: the inline engine has no thread to run a
             // due migration on — the next query pays it.
-            env.engine.migrate(&session).unwrap();
+            env.shard().migrate(&session).unwrap();
         }
         let scan = env
-            .engine
+            .shard()
             .begin_scan(session.clone(), begin, begin + span)
             .unwrap();
         let n = scan.count();
@@ -116,7 +116,7 @@ fn run_mode(
     }
 
     env.engine.shutdown();
-    let stats = env.engine.stats();
+    let stats = env.shard().stats();
     latencies.sort_unstable();
     ModeResult {
         label,

@@ -69,13 +69,13 @@ fn main() {
         let mut ingested = 0u64;
         for _ in 0..10_000 {
             let (key, op) = gen.next_update();
-            match env.engine.apply_update(&session, key, op) {
+            match env.shard().apply_update(&session, key, op) {
                 Ok(_) => ingested += 1,
                 Err(masm_core::MasmError::CacheFull { .. }) => break,
                 Err(e) => panic!("{e}"),
             }
         }
-        let cached_kb = env.engine.cached_bytes() / 1024;
+        let cached_kb = env.shard().cached_bytes() / 1024;
         let ranges = baseline.ranges(MIB, 5);
         let base = avg(ranges
             .iter()
@@ -113,10 +113,10 @@ fn main() {
         env.fill_cache(0.5, 42);
         // Force the run-budget merges that cost the extra writes.
         let session = env.machine.session();
-        let _ = env.engine.begin_scan(session, 0, 10).unwrap().count();
-        let (_, logical) = env.engine.ingest_stats();
+        let _ = env.shard().begin_scan(session, 0, 10).unwrap().count();
+        let (_, logical) = env.shard().ingest_stats();
         let amp = env.machine.ssd.stats().bytes_written as f64 / logical.max(1) as f64;
-        let mem_kb = env.engine.config().total_memory_bytes() / 1024;
+        let mem_kb = env.shard().config().total_memory_bytes() / 1024;
         let ranges = baseline.ranges(MIB, 5);
         let base = avg(ranges
             .iter()

@@ -7,30 +7,15 @@
 //! SSDs for the update cache."
 
 use masm_bench::*;
-use masm_pagestore::{HeapConfig, TableHeap};
 use masm_storage::{DeviceProfile, SimDevice, MIB};
-use std::sync::Arc;
 
 fn build(cache_profile: DeviceProfile, mb: u64) -> SyntheticEnv {
-    // Assemble an env manually so the cache device profile is ours.
+    // The cache device profile is ours.
     let machine = Machine::new();
     let cache = SimDevice::in_memory(cache_profile, machine.clock.clone());
-    let table = masm_workloads::synthetic::SyntheticTable::with_bytes(mb * MIB);
     let mut cfg = scaled_masm_config(mb * MIB);
     cfg.migration_threshold = 1.0;
-    let heap = Arc::new(TableHeap::new(machine.disk.clone(), HeapConfig::default()));
-    let engine =
-        masm_core::MasmEngine::new(heap, cache, machine.wal.clone(), table.schema.clone(), cfg)
-            .unwrap();
-    let session = machine.session();
-    engine.load_table(&session, table.records(), 1.0).unwrap();
-    let table_bytes = mb * MIB;
-    SyntheticEnv {
-        machine,
-        engine,
-        table,
-        table_bytes,
-    }
+    SyntheticEnv::with_cache_device(machine, cache, mb * MIB, cfg)
 }
 
 fn avg(ns: Vec<u64>) -> u64 {

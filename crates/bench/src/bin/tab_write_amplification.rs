@@ -29,31 +29,31 @@ fn measure(alpha: f64) -> (f64, u64) {
     // Fill to ~85% of capacity so plenty of 1-pass runs exist, then open
     // scans periodically so the run-budget merges (the source of the
     // extra writes) actually run.
-    let cap = env.engine.config().ssd_capacity;
+    let cap = env.shard().config().ssd_capacity;
     let mut i = 0u64;
-    while env.engine.cached_bytes() < cap * 85 / 100 {
+    while env.shard().cached_bytes() < cap * 85 / 100 {
         let (key, op) = gen.next_update();
-        env.engine.apply_update(&session, key, op).unwrap();
+        env.shard().apply_update(&session, key, op).unwrap();
         i += 1;
         if i.is_multiple_of(2000) {
             // Scan setup enforces the query-page budget (Fig. 8).
             let _ = env
-                .engine
+                .shard()
                 .begin_scan(session.clone(), 0, 10)
                 .unwrap()
                 .count();
         }
     }
     let _ = env
-        .engine
+        .shard()
         .begin_scan(session.clone(), 0, 10)
         .unwrap()
         .count();
-    let (_, logical) = env.engine.ingest_stats();
+    let (_, logical) = env.shard().ingest_stats();
     let written = env.machine.ssd.stats().bytes_written;
     (
         written as f64 / logical as f64,
-        env.engine.config().m_pages(),
+        env.shard().config().m_pages(),
     )
 }
 

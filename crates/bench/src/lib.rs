@@ -19,7 +19,7 @@ pub mod tpch_replay;
 
 use std::sync::Arc;
 
-use masm_core::{MasmConfig, MasmEngine};
+use masm_core::{MasmConfig, MasmEngine, ShardedEngine};
 use masm_pagestore::{HeapConfig, Key, Schema, TableHeap};
 use masm_storage::{DeviceProfile, IoSession, Ns, SessionHandle, SimClock, SimDevice, MIB};
 use masm_workloads::synthetic::{SyntheticTable, UpdateMix, UpdateStreamGen};
@@ -97,8 +97,9 @@ pub fn scaled_masm_config(table_bytes: u64) -> MasmConfig {
 pub struct SyntheticEnv {
     /// The simulated machine.
     pub machine: Machine,
-    /// The MaSM engine over the synthetic table.
-    pub engine: Arc<MasmEngine>,
+    /// The MaSM engine over the synthetic table: one shard behind the
+    /// front door ([`SyntheticEnv::shard`] is its engine).
+    pub engine: Arc<ShardedEngine>,
     /// The generator description of the table.
     pub table: SyntheticTable,
     /// Total table bytes.
@@ -115,18 +116,25 @@ impl SyntheticEnv {
     pub fn with_config_mutator(mb: u64, f: impl FnOnce(&mut MasmConfig)) -> SyntheticEnv {
         let machine = Machine::new();
         let table_bytes = mb * MIB;
-        let table = SyntheticTable::with_bytes(table_bytes);
         let mut cfg = scaled_masm_config(table_bytes);
         f(&mut cfg);
+        let ssd = machine.ssd.clone();
+        Self::with_cache_device(machine, ssd, table_bytes, cfg)
+    }
+
+    /// Build over `machine` with `cache` as the update-cache device
+    /// and load a table of `table_bytes`.
+    pub fn with_cache_device(
+        machine: Machine,
+        cache: SimDevice,
+        table_bytes: u64,
+        cfg: MasmConfig,
+    ) -> SyntheticEnv {
+        let table = SyntheticTable::with_bytes(table_bytes);
         let heap = Arc::new(TableHeap::new(machine.disk.clone(), HeapConfig::default()));
-        let engine = MasmEngine::new(
-            heap,
-            machine.ssd.clone(),
-            machine.wal.clone(),
-            table.schema.clone(),
-            cfg,
-        )
-        .expect("valid scaled config");
+        let wals = vec![machine.wal.clone()];
+        let engine = ShardedEngine::new(heap, vec![cache], wals, table.schema.clone(), cfg)
+            .expect("valid scaled config");
         let session = machine.session();
         engine
             .load_table(&session, table.records(), 1.0)
@@ -139,16 +147,22 @@ impl SyntheticEnv {
         }
     }
 
+    /// The table's one shard engine: per-shard operations timed on a
+    /// caller's session.
+    pub fn shard(&self) -> &Arc<MasmEngine> {
+        &self.engine.shards()[0]
+    }
+
     /// Fill the SSD update cache to `fraction` of its capacity with
     /// uniformly distributed updates (the "cached updates occupy 50% of
     /// the allocated flash space" setup).
     pub fn fill_cache(&self, fraction: f64, seed: u64) {
-        let target = (self.engine.config().ssd_capacity as f64 * fraction) as u64;
+        let target = (self.shard().config().ssd_capacity as f64 * fraction) as u64;
         let session = self.machine.session();
         let mut gen = UpdateStreamGen::uniform(self.table.clone(), UpdateMix::default(), seed);
-        while self.engine.cached_bytes() < target {
+        while self.shard().cached_bytes() < target {
             let (key, op) = gen.next_update();
-            match self.engine.apply_update(&session, key, op) {
+            match self.shard().apply_update(&session, key, op) {
                 Ok(_) => {}
                 // Very high fill targets (99%) stop at the last whole
                 // run that fits.
@@ -163,7 +177,7 @@ impl SyntheticEnv {
         let session = self.machine.session();
         let start = session.now();
         let n = self
-            .engine
+            .shard()
             .heap()
             .scan_range(session.clone(), begin, end)
             .count();
@@ -181,7 +195,7 @@ impl SyntheticEnv {
         let session = self.machine.session();
         let start = session.now();
         let scan = self
-            .engine
+            .shard()
             .begin_scan(session.clone(), begin, end)
             .expect("scan")
             .with_cpu_per_record(cpu_ns);
@@ -274,7 +288,7 @@ impl<'a> ConcurrentInPlaceUpdater<'a> {
 pub fn time_scan_with_inplace_updates(env: &SyntheticEnv, begin: Key, end: Key, seed: u64) -> Ns {
     let session = env.machine.session();
     let mut updater = ConcurrentInPlaceUpdater::new(
-        Arc::clone(env.engine.heap()),
+        Arc::clone(env.shard().heap()),
         env.table.schema.clone(),
         env.table.clone(),
         &env.machine.clock,
@@ -284,7 +298,7 @@ pub fn time_scan_with_inplace_updates(env: &SyntheticEnv, begin: Key, end: Key, 
     // Lead with one update so even single-I/O scans queue behind update
     // traffic, as they would under a saturated concurrent updater.
     updater.catch_up(start + 1);
-    let mut scan = env.engine.heap().scan_range(session.clone(), begin, end);
+    let mut scan = env.shard().heap().scan_range(session.clone(), begin, end);
     let mut n = 0u64;
     while scan.next().is_some() {
         n += 1;
@@ -374,8 +388,8 @@ mod tests {
     fn fill_cache_reaches_target() {
         let env = SyntheticEnv::new(2);
         env.fill_cache(0.3, 1);
-        let cap = env.engine.config().ssd_capacity;
-        assert!(env.engine.cached_bytes() as f64 >= 0.3 * cap as f64);
+        let cap = env.shard().config().ssd_capacity;
+        assert!(env.shard().cached_bytes() as f64 >= 0.3 * cap as f64);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use masm_core::{MasmConfig, MasmEngine};
+use masm_core::{MasmConfig, MasmEngine, ShardedEngine};
 use masm_pagestore::Key;
 use masm_storage::{IoSession, Ns, SessionHandle, SimClock};
 use masm_workloads::tpch::{QueryProfile, Table, TpchTables, TpchUpdateGen};
@@ -188,10 +188,10 @@ impl TpchInPlaceUpdater {
 /// The Figure-14 configuration: MaSM engines for orders and lineitem
 /// dividing one SSD, other tables scanned raw.
 pub struct TpchMasm {
-    /// Engine over the orders table.
-    pub orders: Arc<MasmEngine>,
-    /// Engine over the lineitem table.
-    pub lineitem: Arc<MasmEngine>,
+    /// One-shard engine over the orders table.
+    pub orders: Arc<ShardedEngine>,
+    /// One-shard engine over the lineitem table.
+    pub lineitem: Arc<ShardedEngine>,
 }
 
 impl TpchMasm {
@@ -213,10 +213,10 @@ impl TpchMasm {
                 ssd_region_base: base,
                 ..MasmConfig::default()
             };
-            MasmEngine::new(
+            ShardedEngine::new(
                 Arc::clone(heap),
-                env.machine.ssd.clone(),
-                env.machine.wal.clone(),
+                vec![env.machine.ssd.clone()],
+                vec![env.machine.wal.clone()],
                 env.tables.schema.clone(),
                 cfg,
             )
@@ -233,17 +233,18 @@ impl TpchMasm {
     pub fn fill(&self, env: &TpchEnv, fraction: f64, seed: u64) {
         let session = env.machine.session();
         let mut gen = TpchUpdateGen::new(&env.tables, seed);
-        let target = |e: &Arc<MasmEngine>| (e.config().ssd_capacity as f64 * fraction) as u64;
-        while self.lineitem.cached_bytes() < target(&self.lineitem)
-            || self.orders.cached_bytes() < target(&self.orders)
-        {
+        let below_target = |e: &ShardedEngine| {
+            let shard: &MasmEngine = &e.shards()[0];
+            shard.cached_bytes() < (shard.config().ssd_capacity as f64 * fraction) as u64
+        };
+        while below_target(&self.lineitem) || below_target(&self.orders) {
             let group = gen.next_group();
             for (table, key, op) in group.ops {
                 let engine = match table {
                     Table::Orders => &self.orders,
                     _ => &self.lineitem,
                 };
-                engine.apply_update(&session, key, op).unwrap();
+                engine.put(&session, key, op).unwrap();
             }
         }
     }
@@ -255,13 +256,11 @@ impl TpchMasm {
         for step in q.steps {
             let (b, e) = env.tables.key_range(step);
             let n = match step.table {
-                Table::Orders => self
-                    .orders
+                Table::Orders => self.orders.shards()[0]
                     .begin_scan(session.clone(), b, e)
                     .unwrap()
                     .count(),
-                Table::Lineitem => self
-                    .lineitem
+                Table::Lineitem => self.lineitem.shards()[0]
                     .begin_scan(session.clone(), b, e)
                     .unwrap()
                     .count(),

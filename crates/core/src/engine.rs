@@ -1,18 +1,23 @@
-//! The MaSM engine: the storage-manager-level facade of §3.
+//! The MaSM engine of one shard: the storage-manager-level facade of §3.
 //!
-//! One engine manages one table: its clustered heap on the disk device,
-//! its SSD update cache (in-memory buffer + materialized sorted runs),
-//! its redo log, and the timestamp oracle that serializes individual
-//! queries and updates. It exposes exactly the surface the paper argues
-//! a DBMS needs ("MaSM can be implemented in the storage manager … it
-//! does not require modification to the buffer manager, query processor
-//! or query optimizer"):
+//! A [`MasmEngine`] manages one key range of a table: its SSD update
+//! cache (in-memory buffer + materialized sorted runs) over the shared
+//! clustered heap, its redo log, and a handle on the timestamp oracle
+//! that serializes individual queries and updates. Engines are built
+//! and recovered only through [`crate::ShardedEngine`] (`new` /
+//! `recover`); a standalone table is the one-shard case. Each shard
+//! exposes exactly the surface the paper argues a DBMS needs ("MaSM can
+//! be implemented in the storage manager … it does not require
+//! modification to the buffer manager, query processor or query
+//! optimizer"):
 //!
 //! * [`MasmEngine::apply_update`] — ingest a well-formed update,
 //! * [`MasmEngine::begin_scan`] — a table range scan that transparently
 //!   merges cached updates (drop-in for `Table_range_scan`),
-//! * [`MasmEngine::migrate`] — in-place migration of cached updates,
-//! * [`MasmEngine::recover`] — crash recovery from the redo log.
+//! * [`MasmEngine::migrate`] — in-place migration of cached updates.
+//!
+//! Crash recovery rebuilds every shard from its redo log through
+//! [`crate::ShardedEngine::recover`].
 //!
 //! # Concurrency architecture
 //!
@@ -45,7 +50,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Condvar;
 
 use masm_blockrun::BlockCache;
 use masm_pagestore::{Key, Page, Record, Schema, TableHeap, TsRangeScan};
@@ -65,7 +70,7 @@ use crate::membuf::UpdateBuffer;
 use crate::merge::{
     compact_block_runs, fold_duplicates, MergeDataUpdates, MergeUpdates, UpdateStream,
 };
-use crate::recovery::{apply_heap_events, parse_wal, ParsedWal};
+use crate::recovery::ParsedWal;
 use crate::run::{
     build_run, lookup_in_run, recover_run, write_built, RunScan, SortedRun, SsdSpace,
 };
@@ -130,7 +135,7 @@ counter_set! {
 
 /// Crash-recovery counters (family `recovery`). Registered on every
 /// engine so `render_openmetrics` always exports the family; non-zero
-/// only on engines built by [`MasmEngine::recover`].
+/// only on engines rebuilt by [`crate::ShardedEngine::recover`].
 struct RecoveryCounters {
     records_replayed: Arc<Counter>,
     wal_bytes: Arc<Counter>,
@@ -337,13 +342,9 @@ pub struct MasmEngine {
     epoch: AtomicU64,
     /// Background worker pool, present when `background_workers > 0`.
     workers: OnceLock<WorkerHandle>,
-    /// This engine's shard index in a sharded deployment (0 when the
-    /// engine stands alone). Tags every job handed to the shared pool.
+    /// This engine's shard index (0 for a one-shard deployment). Tags
+    /// every job handed to the shared pool.
     shard_id: usize,
-    /// Last commit timestamp per key, for first-committer-wins snapshot
-    /// isolation (§3.6). A production system would truncate this by the
-    /// oldest active transaction; we keep it simple.
-    commit_index: Mutex<std::collections::HashMap<Key, Timestamp>>,
     /// The metric registry and every counter behind
     /// [`MasmEngine::stats`].
     metrics: EngineMetrics,
@@ -372,33 +373,23 @@ impl std::fmt::Debug for MasmEngine {
 }
 
 impl MasmEngine {
-    /// Create an engine over an existing (possibly empty) heap.
-    pub fn new(
-        heap: Arc<TableHeap>,
-        ssd: SimDevice,
-        wal_dev: SimDevice,
-        schema: Schema,
-        cfg: MasmConfig,
-    ) -> MasmResult<Arc<Self>> {
-        Self::build(
-            heap,
-            ssd,
-            wal_dev,
-            schema,
-            cfg,
-            TimestampOracle::new(),
-            0,
-            true,
-        )
-    }
-
-    /// Shared constructor. A sharded deployment injects a *cloned*
-    /// oracle (one global timestamp order across shards), the shard's
-    /// index, and `spawn_workers = false` — the [`crate::ShardedEngine`]
-    /// wires one shared pool across all shards afterwards via
+    /// The one shard constructor, over an empty state (`log == None`,
+    /// a new deployment) or a parsed redo log (crash recovery). The
+    /// [`crate::ShardedEngine`] injects a *cloned* oracle (one global
+    /// timestamp order across shards) and the shard's index, and wires
+    /// one shared worker pool across all shards afterwards via
     /// [`MasmEngine::install_workers`].
+    ///
+    /// On recovery the heap must already hold its recovered metadata
+    /// (see `recovery::apply_heap_events`, merged across all logs by
+    /// [`crate::ShardedEngine::recover`]); the shared `oracle` is
+    /// advanced past this log's durable maximum (order-independent, so
+    /// shards fold in any order). An interrupted migration is *not*
+    /// re-driven here — the caller owns that and its cross-shard
+    /// staggering. `tracer` is installed before the `recovery` span is
+    /// emitted.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn build(
+    pub(crate) fn open(
         heap: Arc<TableHeap>,
         ssd: SimDevice,
         wal_dev: SimDevice,
@@ -406,26 +397,87 @@ impl MasmEngine {
         cfg: MasmConfig,
         oracle: TimestampOracle,
         shard_id: usize,
-        spawn_workers: bool,
-    ) -> MasmResult<Arc<Self>> {
+        log: Option<ParsedWal>,
+        tracer: Option<Arc<Tracer>>,
+    ) -> MasmResult<(Arc<Self>, RecoveryReport)> {
         cfg.validate()?;
-        let buffer = UpdateBuffer::new(cfg.update_buffer_bytes() as usize);
+        let session = SessionHandle::fresh(ssd.clock().clone());
+        let recovering = log.is_some();
+        let ParsedWal {
+            started: t0,
+            live_runs,
+            pending,
+            mut max_ts,
+            end_offset,
+            torn_bytes,
+            records_replayed,
+            ..
+        } = log.unwrap_or_default();
+
+        // Re-open run metadata from the durable, checksummed block-run
+        // footers: zone maps, bloom filters, and key/timestamp bounds
+        // come back without decoding a single update record.
         let mut runs = RunSet::new();
-        runs.set_space(SsdSpace::with_origin(cfg.ssd_region_base));
-        // The engine only ever appends runs from its region base; prime
-        // the head there so the very first run write on a *fresh* device
-        // is classified sequential (design goal 2: random_writes == 0).
-        // On a shared device that already has a head position this is a
+        let mut high_water = 0u64;
+        let mut live_bytes = 0u64;
+        let mut max_run_id = 0u64;
+        let mut rebuilt: Vec<Arc<SortedRun>> = Vec::new();
+        for (id, info) in &live_runs {
+            let run = recover_run(&session, &ssd, *id, info.base, info.bytes, info.passes)?;
+            max_ts = max_ts.max(run.max_ts);
+            high_water = high_water.max(info.base + info.bytes);
+            live_bytes += info.bytes;
+            max_run_id = max_run_id.max(*id);
+            rebuilt.push(Arc::new(run));
+        }
+        runs.set_space(SsdSpace::with_state(
+            cfg.ssd_region_base,
+            high_water,
+            live_bytes,
+        ));
+        for r in rebuilt {
+            runs.add(r);
+        }
+        runs.resume_ids_after(max_run_id);
+        let runs_recovered = runs.len();
+
+        // The engine only ever appends runs from its region base (or,
+        // after a crash, from the recovered append point); prime the
+        // head there so the first run write is classified sequential
+        // (design goal 2: random_writes == 0, across a crash too). On a
+        // shared device that already has a head position this is a
         // no-op — another engine's accounting must not be rewritten.
-        ssd.prime_head_position_if_unset(cfg.ssd_region_base);
+        // Crash-snapshot WAL devices carry no head position either; a
+        // fresh log keeps its unprimed first append.
+        ssd.prime_head_position_if_unset(high_water.max(cfg.ssd_region_base));
+        if recovering {
+            wal_dev.prime_head_position_if_unset(end_offset);
+        }
+
+        oracle.advance_past(max_ts);
+
+        let mut buffer = UpdateBuffer::new(cfg.update_buffer_bytes() as usize);
+        let updates_recovered = pending.len() as u64;
+        for u in pending {
+            buffer.push(u);
+        }
+
+        // Re-pin the recovered runs' metadata footprint in the cache
+        // accounting (zone maps + blooms live as long as the runs do),
+        // and rebuild the codec accounting from their zone maps.
         let cache = Arc::new(BlockCache::with_config(cfg.cache_config()));
         let metrics = EngineMetrics::new(&cache);
+        for r in runs.runs() {
+            cache.retain_meta_bytes(r.memory_bytes());
+            metrics.compression.record(&r.meta.compression());
+        }
+
         let engine = Arc::new(MasmEngine {
             heap,
             ssd,
+            cache,
             cfg,
             schema,
-            cache,
             oracle,
             state: TrackedMutex::new(EngineState {
                 buffer,
@@ -440,34 +492,57 @@ impl MasmEngine {
                 scan_reservations: 0,
             }),
             quiesce: Condvar::new(),
-            wal: Wal::new(wal_dev, 0),
+            wal: Wal::new(wal_dev, end_offset),
             epoch: AtomicU64::new(0),
             workers: OnceLock::new(),
             shard_id,
-            commit_index: Mutex::new(std::collections::HashMap::new()),
             metrics,
             tracer: OnceLock::new(),
             compact_flow: AtomicU64::new(0),
             migrate_flow: AtomicU64::new(0),
         });
-        if spawn_workers {
-            Self::start_workers(&engine);
+        if let Some(t) = tracer {
+            engine.install_tracer(t);
         }
-        Ok(engine)
-    }
 
-    /// Spawn the background worker pool when configured.
-    fn start_workers(engine: &Arc<Self>) {
-        if engine.cfg.background_workers > 0 {
-            let pool = WorkerPool::new(
-                engine.cfg.background_workers,
-                engine.cfg.effective_backlog_bytes(),
-                1,
-                &[&engine.metrics.registry],
-            );
-            let handle = WorkerHandle::spawn(std::slice::from_ref(engine), pool);
-            let _ = engine.workers.set(handle);
+        let rc = &engine.metrics.recovery;
+        rc.records_replayed.add(records_replayed);
+        rc.wal_bytes.add(end_offset);
+        rc.updates_rebuilt.add(updates_recovered);
+        rc.runs_recovered.add(runs_recovered as u64);
+        if torn_bytes > 0 {
+            rc.torn_tail.add(1);
+            rc.torn_bytes.add(torn_bytes);
         }
+        if let Some(t) = engine.trace().filter(|_| recovering) {
+            let t1 = engine.ssd.clock().now();
+            t.span_event(
+                "recovery",
+                engine.track(),
+                t0,
+                t1.saturating_sub(t0).max(1),
+                "records",
+                records_replayed,
+            );
+            if torn_bytes > 0 {
+                t.instant(
+                    "recovery.torn_tail",
+                    engine.track(),
+                    t1,
+                    "bytes",
+                    torn_bytes,
+                );
+            }
+        }
+
+        let report = RecoveryReport {
+            updates_recovered,
+            runs_recovered,
+            redid_migration: false,
+            wal_records_replayed: records_replayed,
+            wal_torn_bytes: torn_bytes,
+        };
+        Ok((engine, report))
     }
 
     /// Install a shared worker handle built by a sharded deployment.
@@ -486,7 +561,7 @@ impl MasmEngine {
     /// wins; the engine emits spans, instants, and flow links only
     /// while a tracer is installed *and* enabled — otherwise every
     /// instrumentation site costs one relaxed load.
-    pub fn install_tracer(&self, tracer: Arc<Tracer>) {
+    pub(crate) fn install_tracer(&self, tracer: Arc<Tracer>) {
         let _ = self.tracer.set(tracer);
     }
 
@@ -518,16 +593,6 @@ impl MasmEngine {
     /// emitted statelessly from both ends.
     fn flush_flow(&self, batch_id: u64) -> u64 {
         ((self.shard_id as u64 + 1) << 40) | batch_id
-    }
-
-    /// Drain and join the background workers (no-op in inline mode).
-    /// Idempotent; queued jobs still execute before threads exit.
-    /// Dropping the engine without calling this only *signals* shutdown
-    /// — call it for deterministic teardown.
-    pub fn shutdown(&self) {
-        if let Some(h) = self.workers.get() {
-            h.join();
-        }
     }
 
     /// The worker handle while background mode is live. `None` once
@@ -683,18 +748,6 @@ impl MasmEngine {
         self.quiesce.notify_all();
     }
 
-    /// Bulk-load the table (records sorted by key) and log the load so
-    /// the heap metadata is recoverable.
-    pub fn load_table(
-        &self,
-        session: &SessionHandle,
-        records: impl IntoIterator<Item = Record>,
-        fill: f64,
-    ) -> MasmResult<()> {
-        self.heap.bulk_load(session, records, fill)?;
-        self.log_heap_loaded(session, self.oracle.next())
-    }
-
     /// Log the heap's current (bulk-loaded) metadata under heap-event
     /// sequence `seq`. A sharded deployment broadcasts one load to
     /// every shard's WAL under a single shared `seq`, so multi-log
@@ -773,11 +826,6 @@ impl MasmEngine {
             .map(|r| r.memory_bytes())
             .sum();
         self.cache.release_meta_bytes(bytes);
-    }
-
-    /// The timestamp oracle.
-    pub fn oracle(&self) -> &TimestampOracle {
-        &self.oracle
     }
 
     /// Bytes of cached updates on the SSD (live runs).
@@ -884,34 +932,6 @@ impl MasmEngine {
     /// catalog-style export: walk it with [`Registry::for_each`].
     pub fn metrics_registry(&self) -> &Registry {
         &self.metrics.registry
-    }
-
-    /// Atomically commit a transaction's private writes under
-    /// first-committer-wins snapshot isolation (§3.6): if any written key
-    /// was committed by another transaction after `start_ts`, the commit
-    /// aborts with [`MasmError::Conflict`]. On success all writes carry
-    /// one fresh commit timestamp.
-    pub fn commit_writes(
-        self: &Arc<Self>,
-        session: &SessionHandle,
-        start_ts: Timestamp,
-        writes: Vec<(Key, UpdateOp)>,
-    ) -> MasmResult<Timestamp> {
-        let mut idx = self.commit_index.lock();
-        for (key, _) in &writes {
-            if idx.get(key).is_some_and(|&t| t > start_ts) {
-                return Err(MasmError::Conflict { key: *key });
-            }
-        }
-        let ts = self.oracle.next();
-        for (key, _) in &writes {
-            idx.insert(*key, ts);
-        }
-        drop(idx);
-        for (key, op) in writes {
-            self.apply_update_with_ts(session, UpdateRecord::new(ts, key, op))?;
-        }
-        Ok(ts)
     }
 
     /// Apply one well-formed update; returns its commit timestamp.
@@ -2050,224 +2070,6 @@ impl MasmEngine {
         })
     }
 
-    /// Rebuild an engine after a crash: heap metadata, run set, and the
-    /// in-memory update buffer come back from the redo log and the
-    /// (durable) SSD; an interrupted migration is re-driven to
-    /// completion (idempotent thanks to page timestamps). A torn WAL
-    /// tail — a record cut off mid-append by the crash — is truncated
-    /// and reported in [`RecoveryReport::wal_torn_bytes`]; corruption
-    /// anywhere *before* the tail stays a hard error.
-    pub fn recover(
-        heap: Arc<TableHeap>,
-        ssd: SimDevice,
-        wal_dev: SimDevice,
-        schema: Schema,
-        cfg: MasmConfig,
-    ) -> MasmResult<(Arc<Self>, RecoveryReport)> {
-        Self::recover_traced(heap, ssd, wal_dev, schema, cfg, None)
-    }
-
-    /// [`MasmEngine::recover`] with an optional flight recorder: the
-    /// tracer is installed before replay side effects begin, so the
-    /// recovery itself shows up as a `recovery` span (plus
-    /// `recovery.torn_tail` / `recovery.migration_redo` instants).
-    pub fn recover_traced(
-        heap: Arc<TableHeap>,
-        ssd: SimDevice,
-        wal_dev: SimDevice,
-        schema: Schema,
-        cfg: MasmConfig,
-        tracer: Option<Arc<Tracer>>,
-    ) -> MasmResult<(Arc<Self>, RecoveryReport)> {
-        cfg.validate()?;
-        let session = SessionHandle::fresh(ssd.clock().clone());
-        let mut parsed = parse_wal(&session, &wal_dev)?;
-        apply_heap_events(&heap, std::mem::take(&mut parsed.heap_events));
-        let unfinished = parsed.unfinished_migration;
-        let (engine, mut report) = Self::recover_from_parsed(
-            heap,
-            ssd,
-            wal_dev,
-            schema,
-            cfg,
-            TimestampOracle::new(),
-            0,
-            true,
-            parsed,
-            tracer,
-        )?;
-        if unfinished {
-            engine.migrate(&session)?;
-            engine.note_migration_redriven();
-            report.redid_migration = true;
-        }
-        Ok((engine, report))
-    }
-
-    /// Build a recovered engine from a parsed redo log. The heap must
-    /// already hold its recovered metadata (see [`apply_heap_events`] —
-    /// applied per log by [`MasmEngine::recover_traced`], or merged
-    /// across all logs by [`crate::ShardedEngine::recover`]). The
-    /// shared `oracle` is advanced past this log's durable maximum
-    /// (order-independent, so shards fold in any order). Does *not*
-    /// re-drive an interrupted migration — the caller owns that (and
-    /// its cross-shard staggering).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn recover_from_parsed(
-        heap: Arc<TableHeap>,
-        ssd: SimDevice,
-        wal_dev: SimDevice,
-        schema: Schema,
-        cfg: MasmConfig,
-        oracle: TimestampOracle,
-        shard_id: usize,
-        spawn_workers: bool,
-        parsed: ParsedWal,
-        tracer: Option<Arc<Tracer>>,
-    ) -> MasmResult<(Arc<Self>, RecoveryReport)> {
-        cfg.validate()?;
-        let session = SessionHandle::fresh(ssd.clock().clone());
-        let ParsedWal {
-            started: t0,
-            live_runs,
-            pending,
-            mut max_ts,
-            end_offset,
-            torn_bytes,
-            records_replayed,
-            ..
-        } = parsed;
-
-        // Re-open run metadata from the durable, checksummed block-run
-        // footers: zone maps, bloom filters, and key/timestamp bounds
-        // come back without decoding a single update record.
-        let mut runs = RunSet::new();
-        let mut high_water = 0u64;
-        let mut live_bytes = 0u64;
-        let mut max_run_id = 0u64;
-        let mut rebuilt: Vec<Arc<SortedRun>> = Vec::new();
-        for (id, info) in &live_runs {
-            let run = recover_run(&session, &ssd, *id, info.base, info.bytes, info.passes)?;
-            max_ts = max_ts.max(run.max_ts);
-            high_water = high_water.max(info.base + info.bytes);
-            live_bytes += info.bytes;
-            max_run_id = max_run_id.max(*id);
-            rebuilt.push(Arc::new(run));
-        }
-        runs.set_space(SsdSpace::with_state(
-            cfg.ssd_region_base,
-            high_water,
-            live_bytes,
-        ));
-        for r in rebuilt {
-            runs.add(r);
-        }
-        runs.resume_ids_after(max_run_id);
-        let runs_recovered = runs.len();
-
-        // Crash-snapshot devices carry no write-head position. Prime
-        // both heads at the recovered append points so the first
-        // post-recovery write continues the sequential pattern instead
-        // of being charged as a seek (design goal 2: random_writes
-        // stays 0 across a crash).
-        ssd.prime_head_position_if_unset(high_water.max(cfg.ssd_region_base));
-        wal_dev.prime_head_position_if_unset(end_offset);
-
-        oracle.advance_past(max_ts);
-
-        let mut buffer = UpdateBuffer::new(cfg.update_buffer_bytes() as usize);
-        let updates_recovered = pending.len() as u64;
-        for u in pending {
-            buffer.push(u);
-        }
-
-        // Re-pin the recovered runs' metadata footprint in the cache
-        // accounting (zone maps + blooms live as long as the runs do),
-        // and rebuild the codec accounting from their zone maps.
-        let cache = Arc::new(BlockCache::with_config(cfg.cache_config()));
-        let metrics = EngineMetrics::new(&cache);
-        for r in runs.runs() {
-            cache.retain_meta_bytes(r.memory_bytes());
-            metrics.compression.record(&r.meta.compression());
-        }
-
-        let engine = Arc::new(MasmEngine {
-            heap,
-            ssd,
-            cache,
-            cfg,
-            schema,
-            oracle,
-            state: TrackedMutex::new(EngineState {
-                buffer,
-                runs,
-                sealed: Vec::new(),
-                next_batch: 0,
-                active_queries: BTreeMap::new(),
-                pinned_pages: 0,
-                retired_bytes: 0,
-                merging: false,
-                migrating: false,
-                scan_reservations: 0,
-            }),
-            quiesce: Condvar::new(),
-            wal: Wal::new(wal_dev, end_offset),
-            epoch: AtomicU64::new(0),
-            workers: OnceLock::new(),
-            shard_id,
-            commit_index: Mutex::new(std::collections::HashMap::new()),
-            metrics,
-            tracer: OnceLock::new(),
-            compact_flow: AtomicU64::new(0),
-            migrate_flow: AtomicU64::new(0),
-        });
-        if let Some(t) = tracer {
-            engine.install_tracer(t);
-        }
-        if spawn_workers {
-            Self::start_workers(&engine);
-        }
-
-        let rc = &engine.metrics.recovery;
-        rc.records_replayed.add(records_replayed);
-        rc.wal_bytes.add(end_offset);
-        rc.updates_rebuilt.add(updates_recovered);
-        rc.runs_recovered.add(runs_recovered as u64);
-        if torn_bytes > 0 {
-            rc.torn_tail.add(1);
-            rc.torn_bytes.add(torn_bytes);
-        }
-        if let Some(t) = engine.trace() {
-            let t1 = engine.ssd.clock().now();
-            t.span_event(
-                "recovery",
-                engine.track(),
-                t0,
-                t1.saturating_sub(t0).max(1),
-                "records",
-                records_replayed,
-            );
-            if torn_bytes > 0 {
-                t.instant(
-                    "recovery.torn_tail",
-                    engine.track(),
-                    t1,
-                    "bytes",
-                    torn_bytes,
-                );
-            }
-        }
-
-        let report = RecoveryReport {
-            updates_recovered,
-            runs_recovered,
-            redid_migration: false,
-            wal_records_replayed: records_replayed,
-            wal_torn_bytes: torn_bytes,
-        };
-        Ok((engine, report))
-    }
-
     /// Record (counter + trace instant) that an interrupted migration
     /// was re-driven to completion on this engine during recovery.
     pub(crate) fn note_migration_redriven(&self) {
@@ -2342,6 +2144,7 @@ impl Drop for MergeScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardedEngine;
     use masm_pagestore::HeapConfig;
     use masm_storage::{DeviceProfile, SimClock};
 
@@ -2363,24 +2166,63 @@ mod tests {
         clock: SimClock,
     }
 
-    fn fixture(n_records: u64) -> Fixture {
-        let clock = SimClock::new();
-        let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
-        let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-        let wal_dev = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-        let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-        let engine =
-            MasmEngine::new(heap, ssd, wal_dev, schema(), MasmConfig::small_for_tests()).unwrap();
-        let session = SessionHandle::fresh(clock.clone());
+    /// The shard of a one-shard deployment over `disk`/`ssd`/`wal_dev`,
+    /// loaded with `n_records` even keys.
+    fn deploy(
+        disk: &SimDevice,
+        ssd: &SimDevice,
+        wal_dev: &SimDevice,
+        session: &SessionHandle,
+        n_records: u64,
+    ) -> Arc<MasmEngine> {
+        let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
+        let engine = ShardedEngine::new(
+            heap,
+            vec![ssd.clone()],
+            vec![wal_dev.clone()],
+            schema(),
+            MasmConfig::small_for_tests(),
+        )
+        .unwrap();
         if n_records > 0 {
             engine
                 .load_table(
-                    &session,
+                    session,
                     (0..n_records).map(|i| Record::new(i * 2, payload(i as u32))),
                     1.0,
                 )
                 .unwrap();
         }
+        Arc::clone(&engine.shards()[0])
+    }
+
+    /// Recover the one-shard deployment `deploy` built on these devices.
+    fn recover(
+        disk: SimDevice,
+        ssd: SimDevice,
+        wal_dev: SimDevice,
+        tracer: Option<&Arc<Tracer>>,
+    ) -> (Arc<MasmEngine>, RecoveryReport) {
+        let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
+        let (engine, report) = ShardedEngine::recover_traced(
+            heap,
+            vec![ssd],
+            vec![wal_dev],
+            schema(),
+            MasmConfig::small_for_tests(),
+            tracer,
+        )
+        .unwrap();
+        (Arc::clone(&engine.shards()[0]), report.per_shard[0])
+    }
+
+    fn fixture(n_records: u64) -> Fixture {
+        let clock = SimClock::new();
+        let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
+        let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
+        let wal_dev = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
+        let session = SessionHandle::fresh(clock.clone());
+        let engine = deploy(&disk, &ssd, &wal_dev, &session, n_records);
         Fixture {
             engine,
             session,
@@ -2559,23 +2401,8 @@ mod tests {
         let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
         let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
         let wal_dev = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-        let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
         let session = SessionHandle::fresh(clock.clone());
-        let engine = MasmEngine::new(
-            heap,
-            ssd.clone(),
-            wal_dev.clone(),
-            schema(),
-            MasmConfig::small_for_tests(),
-        )
-        .unwrap();
-        engine
-            .load_table(
-                &session,
-                (0..500u64).map(|i| Record::new(i * 2, payload(i as u32))),
-                1.0,
-            )
-            .unwrap();
+        let engine = deploy(&disk, &ssd, &wal_dev, &session, 500);
         for i in 0..1200u64 {
             engine
                 .apply_update(&session, i * 2 + 1, UpdateOp::Insert(payload(5)))
@@ -2593,10 +2420,7 @@ mod tests {
         // "Crash": drop the engine; devices survive. Rebuild a fresh heap
         // handle over the same disk device (metadata comes from the WAL).
         drop(engine);
-        let heap2 = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-        let (engine2, report) =
-            MasmEngine::recover(heap2, ssd, wal_dev, schema(), MasmConfig::small_for_tests())
-                .unwrap();
+        let (engine2, report) = recover(disk, ssd, wal_dev, None);
         assert_eq!(report.updates_recovered as usize, buffered);
         assert_eq!(report.runs_recovered, runs);
         assert!(!report.redid_migration);
@@ -2616,11 +2440,8 @@ mod tests {
         let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
         let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
         let wal_dev = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-        let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
         let session = SessionHandle::fresh(clock.clone());
-        let cfg = MasmConfig::small_for_tests();
-        let engine =
-            MasmEngine::new(heap, ssd.clone(), wal_dev.clone(), schema(), cfg.clone()).unwrap();
+        let engine = deploy(&disk, &ssd, &wal_dev, &session, 0);
         for i in 0..300u64 {
             engine
                 .apply_update(&session, i, UpdateOp::Insert(payload(1)))
@@ -2633,16 +2454,7 @@ mod tests {
         let tracer = Arc::new(masm_telemetry::Tracer::new(
             masm_telemetry::TraceConfig::default(),
         ));
-        let heap2 = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-        let (engine2, _) = MasmEngine::recover_traced(
-            heap2,
-            ssd,
-            wal_dev.clone(),
-            schema(),
-            cfg,
-            Some(Arc::clone(&tracer)),
-        )
-        .unwrap();
+        let (engine2, _) = recover(disk, ssd, wal_dev.clone(), Some(&tracer));
         assert_eq!(wal_dev.stats().read_ops - wal_reads, 1, "one WAL read");
         let span = tracer
             .take_records()
@@ -2668,23 +2480,8 @@ mod tests {
         let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
         let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
         let wal_dev = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-        let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
         let session = SessionHandle::fresh(clock.clone());
-        let engine = MasmEngine::new(
-            heap,
-            ssd.clone(),
-            wal_dev.clone(),
-            schema(),
-            MasmConfig::small_for_tests(),
-        )
-        .unwrap();
-        engine
-            .load_table(
-                &session,
-                (0..400u64).map(|i| Record::new(i * 2, payload(i as u32))),
-                1.0,
-            )
-            .unwrap();
+        let engine = deploy(&disk, &ssd, &wal_dev, &session, 400);
         for i in 0..900u64 {
             engine
                 .apply_update(&session, i * 2 + 1, UpdateOp::Insert(payload(9)))
@@ -2713,10 +2510,7 @@ mod tests {
             )
             .unwrap();
         drop(engine);
-        let heap2 = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-        let (engine2, report) =
-            MasmEngine::recover(heap2, ssd, wal_dev, schema(), MasmConfig::small_for_tests())
-                .unwrap();
+        let (engine2, report) = recover(disk, ssd, wal_dev, None);
         assert!(report.redid_migration);
         assert_eq!(
             engine2.run_count(),

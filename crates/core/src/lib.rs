@@ -31,10 +31,14 @@
 //! 5. **Correct ACID support** — [`txn`] provides timestamp ordering,
 //!    snapshot-isolation private buffers, and lock-release visibility;
 //!    [`wal`] (CRC-framed records, stable-tail group commit, torn-tail
-//!    truncation) + [`engine::MasmEngine::recover`] rebuild the
-//!    in-memory buffer (and only it) after a crash, and
-//!    [`shard::ShardedEngine::recover`] replays every shard's WAL to
-//!    one consistent cut under [`manifest::ShardManifest`] validation.
+//!    truncation) + [`shard::ShardedEngine::recover`] rebuild the
+//!    in-memory buffers (and only them) after a crash, replaying every
+//!    shard's WAL to one consistent cut under
+//!    [`manifest::ShardManifest`] validation.
+//!
+//! [`ShardedEngine`] is the one front door: it builds, recovers and
+//! transacts with every engine; a standalone table is the one-shard
+//! case, and [`MasmEngine`] is the per-shard engine it owns.
 
 pub mod algo;
 pub mod config;
@@ -45,13 +49,11 @@ pub mod membuf;
 pub mod merge;
 pub(crate) mod recovery;
 pub mod run;
-pub mod secondary;
 pub mod shard;
 pub mod theory;
 pub mod ts;
 pub mod txn;
 pub mod update;
-pub mod view;
 pub mod wal;
 pub(crate) mod worker;
 

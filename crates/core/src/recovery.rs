@@ -91,13 +91,13 @@ pub(crate) struct RecoveredRun {
 
 /// Everything crash recovery needs from one shard's redo log: the
 /// record-level fold of the longest valid log prefix.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct ParsedWal {
     /// Virtual time at which replay began: the start of the
     /// `recovery` trace span, so the span covers the log read.
     pub(crate) started: Ns,
-    /// The shard manifest, when the log belongs to a sharded
-    /// deployment (absent on standalone engines).
+    /// The shard manifest every deployment writes first (absent only
+    /// on a foreign or damaged log, which recovery rejects).
     pub(crate) manifest: Option<ShardManifest>,
     /// Runs created and not yet deleted, by run id.
     pub(crate) live_runs: BTreeMap<u64, RecoveredRun>,
@@ -243,7 +243,7 @@ pub(crate) fn parse_wal(session: &SessionHandle, wal_dev: &SimDevice) -> MasmRes
 mod tests {
     use super::*;
     use crate::config::MasmConfig;
-    use crate::engine::MasmEngine;
+    use crate::shard::ShardedEngine;
     use crate::update::{FieldPatch, UpdateOp};
     use masm_blockrun::crc32;
     use masm_pagestore::{HeapConfig, Schema};
@@ -518,7 +518,19 @@ mod tests {
                 b
             },
         ] {
-            let mut log = raw_frame(WalRecord::UPDATE_TAG, &malformed);
+            // A valid one-shard manifest first, so only the malformed
+            // update can be what recovery rejects.
+            let cfg = MasmConfig::small_for_tests();
+            let mut log = Vec::new();
+            WalRecord::Manifest(ShardManifest {
+                shards: 1,
+                shard_id: 0,
+                split_keys: Vec::new(),
+                ssd_region_base: cfg.ssd_region_base,
+                config_fingerprint: cfg.fingerprint(),
+            })
+            .encode_into(&mut log);
+            log.extend(raw_frame(WalRecord::UPDATE_TAG, &malformed));
             WalRecord::RunCreated {
                 id: 1,
                 base: 0,
@@ -534,13 +546,9 @@ mod tests {
             let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
             let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock);
             let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-            let Err(err) = MasmEngine::recover(
-                heap,
-                ssd,
-                wal,
-                Schema::synthetic_100b(),
-                MasmConfig::small_for_tests(),
-            ) else {
+            let Err(err) =
+                ShardedEngine::recover(heap, vec![ssd], vec![wal], Schema::synthetic_100b(), cfg)
+            else {
                 panic!("malformed update must fail recovery");
             };
             assert!(matches!(err, MasmError::Corrupt(_)), "{err:?}");

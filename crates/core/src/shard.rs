@@ -2,6 +2,13 @@
 //! contiguous ranges and a [`ShardedEngine`] runs one [`MasmEngine`]
 //! per range over its own SSD region, WAL device, and memory budget.
 //!
+//! [`ShardedEngine`] is the engine's one front door: every deployment
+//! is built by [`ShardedEngine::new`], recovered by
+//! [`ShardedEngine::recover`] and transacts through
+//! [`crate::txn::Transaction`] on it. A standalone table is the
+//! one-shard case (`cfg.sharding.shards == 1`, one SSD and one WAL
+//! device); its [`MasmEngine`] is `shards()[0]`.
+//!
 //! Why shard a MaSM engine? The single-engine design serializes three
 //! things on one flash device and one state lock: run writes (flushes
 //! and merges), migration traffic, and the buffer seal path. Splitting
@@ -25,14 +32,22 @@
 //!   ranges are contiguous and disjoint, the k-way merge of per-shard
 //!   iterators degenerates to concatenation in shard order.
 //!
+//! * **One commit index per deployment.** Snapshot-isolation
+//!   transactions validate first-committer-wins against one index of
+//!   last commit timestamps, bounded by the oldest open transaction,
+//!   and commit every write under one timestamp whatever shard it
+//!   routes to.
+//!
 //! Maintenance is shared, not duplicated: all shards feed one
 //! `WorkerPool` with shard-tagged jobs. The pool staggers migrations
 //! (at most [`crate::config::ShardingConfig::max_concurrent_migrations`]
 //! shards migrate at once) so the scan-latency spike of an in-place
 //! migration is never multiplied by the shard count.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use masm_pagestore::{Key, Record, Schema, TableHeap};
 use masm_storage::{SessionHandle, SimDevice};
@@ -45,7 +60,7 @@ use crate::error::{MasmError, MasmResult};
 use crate::manifest::ShardManifest;
 use crate::recovery::{apply_heap_events, parse_wal, ParsedWal};
 use crate::ts::{Timestamp, TimestampOracle};
-use crate::update::UpdateOp;
+use crate::update::{UpdateOp, UpdateRecord};
 use crate::worker::{WorkerHandle, WorkerPool};
 
 /// Partitions `u64` keyspace into `splits.len() + 1` contiguous ranges.
@@ -228,13 +243,44 @@ impl ShardedRecoveryReport {
     }
 }
 
-/// N key-range shards behind one router, one timestamp domain, and one
-/// background worker pool.
+/// First-committer-wins bookkeeping for snapshot-isolation
+/// transactions (§3.6), bounded by the oldest open transaction.
+#[derive(Debug, Default)]
+struct CommitIndex {
+    /// Last commit timestamp per key.
+    last: HashMap<Key, Timestamp>,
+    /// Start timestamps of open transactions (oracle draws are unique).
+    open: BTreeSet<Timestamp>,
+}
+
+impl CommitIndex {
+    /// Deregister the transaction that started at `start`. When it was
+    /// the oldest open one, drop every entry no open transaction can
+    /// conflict with: those committed at or before the new oldest start
+    /// (all of them when none is open). A conflict needs a commit
+    /// *after* the validating transaction's start, and every later
+    /// transaction starts above every entry kept so far.
+    fn close(&mut self, start: Timestamp) {
+        let was_oldest = self.open.first() == Some(&start);
+        self.open.remove(&start);
+        if was_oldest {
+            match self.open.first() {
+                Some(&oldest) => self.last.retain(|_, &mut t| t > oldest),
+                None => self.last.clear(),
+            }
+        }
+    }
+}
+
+/// N key-range shards behind one router, one timestamp domain, one
+/// commit index, and one background worker pool.
 pub struct ShardedEngine {
     router: ShardRouter,
     shards: Vec<Arc<MasmEngine>>,
     oracle: TimestampOracle,
     workers: Option<WorkerHandle>,
+    /// The deployment's one first-committer-wins index.
+    commits: Mutex<CommitIndex>,
     /// Sharding-level metrics (the per-shard registries live in the
     /// shard engines).
     registry: Registry,
@@ -250,11 +296,12 @@ impl std::fmt::Debug for ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Build `cfg.sharding.shards` shard engines over a shared heap.
-    /// `ssds` and `wals` supply one device per shard (each shard's run
-    /// region and redo log are its own device queue — that independence
-    /// is where the ingest scaling comes from). Budgets in `cfg` are
-    /// totals and are divided per [`MasmConfig::shard_config`].
+    /// Build `cfg.sharding.shards` shard engines over a shared heap
+    /// (one shard — the default — is a standalone engine). `ssds` and
+    /// `wals` supply one device per shard (each shard's run region and
+    /// redo log are its own device queue — that independence is where
+    /// the ingest scaling comes from). Budgets in `cfg` are totals and
+    /// are divided per [`MasmConfig::shard_config`].
     pub fn new(
         heap: Arc<TableHeap>,
         ssds: Vec<SimDevice>,
@@ -262,20 +309,12 @@ impl ShardedEngine {
         schema: Schema,
         cfg: MasmConfig,
     ) -> MasmResult<Arc<Self>> {
-        cfg.validate()?;
-        let n = cfg.sharding.shards;
-        if ssds.len() != n || wals.len() != n {
-            return Err(MasmError::Config(format!(
-                "{n} shards need {n} SSD and {n} WAL devices (got {} / {})",
-                ssds.len(),
-                wals.len()
-            )));
-        }
+        let n = Self::check_devices(&cfg, &ssds, &wals)?;
         let router = ShardRouter::from_config(&cfg.sharding)?;
         let oracle = TimestampOracle::new();
         let mut shards = Vec::with_capacity(n);
         for (shard_id, (ssd, wal)) in ssds.into_iter().zip(wals).enumerate() {
-            shards.push(MasmEngine::build(
+            let (engine, _) = MasmEngine::open(
                 Arc::clone(&heap),
                 ssd,
                 wal,
@@ -283,8 +322,10 @@ impl ShardedEngine {
                 cfg.shard_config(shard_id)?,
                 oracle.clone(),
                 shard_id,
-                false,
-            )?);
+                None,
+                None,
+            )?;
+            shards.push(engine);
         }
         // Durably describe the deployment before any data moves: one
         // manifest copy in every shard's WAL (each naming its own shard
@@ -305,13 +346,43 @@ impl ShardedEngine {
             )?;
         }
         let workers = Self::wire_workers(&cfg, &shards);
-        Ok(Arc::new(ShardedEngine {
+        Ok(Self::assemble(router, shards, oracle, workers))
+    }
+
+    /// Validate `cfg` and that it names one SSD and one WAL device per
+    /// shard; returns the shard count.
+    fn check_devices(
+        cfg: &MasmConfig,
+        ssds: &[SimDevice],
+        wals: &[SimDevice],
+    ) -> MasmResult<usize> {
+        cfg.validate()?;
+        let n = cfg.sharding.shards;
+        if ssds.len() != n || wals.len() != n {
+            return Err(MasmError::Config(format!(
+                "{n} shards need {n} SSD and {n} WAL devices (got {} / {})",
+                ssds.len(),
+                wals.len()
+            )));
+        }
+        Ok(n)
+    }
+
+    /// The router over built (or recovered) shards.
+    fn assemble(
+        router: ShardRouter,
+        shards: Vec<Arc<MasmEngine>>,
+        oracle: TimestampOracle,
+        workers: Option<WorkerHandle>,
+    ) -> Arc<Self> {
+        Arc::new(ShardedEngine {
             router,
             shards,
             oracle,
             workers,
+            commits: Mutex::new(CommitIndex::default()),
             registry: Registry::new(),
-        }))
+        })
     }
 
     /// Build the shared worker pool over `shards` and install it into
@@ -337,19 +408,19 @@ impl ShardedEngine {
         })
     }
 
-    /// Rebuild a sharded deployment after a crash.
+    /// Rebuild a deployment (of one shard or many) after a crash.
     ///
     /// Every shard's redo log is replayed (torn tails truncated per
     /// [`crate::wal::Wal::replay`]) and cross-validated against the
     /// [`ShardManifest`] copies written at [`ShardedEngine::new`]:
     /// shard count, split keys, per-device shard ids, SSD region bases,
     /// and the configuration fingerprint must all agree, so a swapped,
-    /// missing, or stale device set is rejected before any run bytes
-    /// are trusted. Heap loads and migration splices from *all* logs
-    /// are merged into one globally ordered replay, the shared
-    /// timestamp oracle resumes past the maximum durable timestamp of
-    /// any shard, and interrupted migrations are re-driven to
-    /// completion at most
+    /// missing, or stale device set — or a log with no manifest at
+    /// all — is rejected before any run bytes are trusted. Heap loads
+    /// and migration splices from *all* logs are merged into one
+    /// globally ordered replay, the shared timestamp oracle resumes
+    /// past the maximum durable timestamp of any shard, and
+    /// interrupted migrations are re-driven to completion at most
     /// [`ShardingConfig::max_concurrent_migrations`] shards at a time —
     /// the same stagger the worker pool applies in normal operation.
     pub fn recover(
@@ -373,16 +444,7 @@ impl ShardedEngine {
         cfg: MasmConfig,
         tracer: Option<&Arc<Tracer>>,
     ) -> MasmResult<(Arc<Self>, ShardedRecoveryReport)> {
-        cfg.validate()?;
-        let n = cfg.sharding.shards;
-        if ssds.len() != n || wals.len() != n {
-            return Err(MasmError::Config(format!(
-                "{n} shards need {n} SSD and {n} WAL devices (got {} / {})",
-                ssds.len(),
-                wals.len()
-            )));
-        }
-
+        let n = Self::check_devices(&cfg, &ssds, &wals)?;
         let mut parsed: Vec<ParsedWal> = Vec::with_capacity(n);
         for wal in &wals {
             let session = SessionHandle::fresh(wal.clock().clone());
@@ -452,7 +514,7 @@ impl ShardedEngine {
             if p.unfinished_migration {
                 redo.push(shard_id);
             }
-            let (engine, report) = MasmEngine::recover_from_parsed(
+            let (engine, report) = MasmEngine::open(
                 Arc::clone(&heap),
                 ssd,
                 wal,
@@ -460,8 +522,7 @@ impl ShardedEngine {
                 cfg.shard_config(shard_id)?,
                 oracle.clone(),
                 shard_id,
-                false,
-                p,
+                Some(p),
                 tracer.cloned(),
             )?;
             shards.push(engine);
@@ -496,13 +557,7 @@ impl ShardedEngine {
             per_shard[shard].redid_migration = true;
         }
 
-        let engine = Arc::new(ShardedEngine {
-            router,
-            shards,
-            oracle,
-            workers,
-            registry: Registry::new(),
-        });
+        let engine = Self::assemble(router, shards, oracle, workers);
         if let Some(t) = tracer {
             t.bind_registry(&engine.registry);
         }
@@ -564,10 +619,13 @@ impl ShardedEngine {
     /// Cross-shard range scan of `[begin, end]` at a fresh query
     /// timestamp: one consistent cut over every shard.
     pub fn scan(&self, begin: Key, end: Key) -> MasmResult<ShardedScan> {
-        self.scan_at(begin, end, None)
+        self.scan_at(begin, end, None, Vec::new())
     }
 
-    /// Cross-shard range scan at an explicit snapshot timestamp.
+    /// Cross-shard range scan at an explicit snapshot timestamp, with
+    /// an optional private update overlay (a transaction's own staged
+    /// writes, §3.6) handed to every overlapping shard, which clips it
+    /// to its own range.
     ///
     /// Every overlapping shard's snapshot is *pinned before this method
     /// returns* (each per-shard [`MergeScan`] registers itself as an
@@ -589,6 +647,7 @@ impl ShardedEngine {
         begin: Key,
         end: Key,
         as_of: Option<Timestamp>,
+        private: Vec<UpdateRecord>,
     ) -> MasmResult<ShardedScan> {
         let overlapping: Vec<usize> = (0..self.shards.len())
             .filter(|&shard| {
@@ -632,7 +691,7 @@ impl ShardedEngine {
                     lo.max(begin),
                     hi.min(end),
                     Some(ts),
-                    Vec::new(),
+                    private.clone(),
                 ) {
                     Ok(scan) => parts.push_back(scan),
                     Err(e) => err = Some(e),
@@ -663,6 +722,55 @@ impl ShardedEngine {
             current: None,
             rest: parts,
         })
+    }
+
+    /// Begin a snapshot-isolation transaction: draw its start timestamp
+    /// and register it as open, under the commit-index lock, so no
+    /// commit index entry it could conflict with is pruned while it
+    /// runs.
+    pub(crate) fn begin_txn(&self) -> Timestamp {
+        let mut idx = self.commits.lock();
+        let start = self.oracle.next();
+        idx.open.insert(start);
+        start
+    }
+
+    /// Deregister a transaction that ends without committing.
+    pub(crate) fn end_txn(&self, start: Timestamp) {
+        self.commits.lock().close(start);
+    }
+
+    /// Atomically commit a transaction's private writes under
+    /// first-committer-wins snapshot isolation (§3.6): if any written
+    /// key was committed by another transaction after `start`, the
+    /// commit aborts with [`MasmError::Conflict`]. On success every
+    /// write carries one fresh commit timestamp and is routed to its
+    /// shard. Either way the transaction is deregistered.
+    pub(crate) fn commit_txn(
+        &self,
+        session: &SessionHandle,
+        start: Timestamp,
+        writes: Vec<(Key, UpdateOp)>,
+    ) -> MasmResult<Timestamp> {
+        let mut idx = self.commits.lock();
+        if let Some(&(key, _)) = writes
+            .iter()
+            .find(|(k, _)| idx.last.get(k).is_some_and(|&t| t > start))
+        {
+            idx.close(start);
+            return Err(MasmError::Conflict { key });
+        }
+        let ts = self.oracle.next();
+        for (key, _) in &writes {
+            idx.last.insert(*key, ts);
+        }
+        idx.close(start);
+        drop(idx);
+        for (key, op) in writes {
+            self.shards[self.router.route(key)]
+                .apply_update_with_ts(session, UpdateRecord::new(ts, key, op))?;
+        }
+        Ok(ts)
     }
 
     /// Whether any shard's cached updates warrant migration.
@@ -796,6 +904,9 @@ impl Iterator for ShardedScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::txn::Transaction;
+    use masm_pagestore::HeapConfig;
+    use masm_storage::{DeviceProfile, SimClock};
 
     #[test]
     fn uniform_router_is_total_and_ordered() {
@@ -867,6 +978,56 @@ mod tests {
         assert_eq!(r.route(9), 0);
         assert_eq!(r.route(10), 1);
         assert_eq!(r.route(20), 2);
+    }
+
+    fn one_shard() -> (Arc<ShardedEngine>, SessionHandle) {
+        let clock = SimClock::new();
+        let dev = |profile| SimDevice::in_memory(profile, clock.clone());
+        let heap = TableHeap::new(dev(DeviceProfile::hdd_barracuda()), HeapConfig::default());
+        let engine = ShardedEngine::new(
+            Arc::new(heap),
+            vec![dev(DeviceProfile::ssd_x25e())],
+            vec![dev(DeviceProfile::ssd_x25e())],
+            Schema::synthetic_100b(),
+            MasmConfig::small_for_tests(),
+        )
+        .unwrap();
+        (engine, SessionHandle::fresh(clock))
+    }
+
+    #[test]
+    fn commit_index_is_bounded_by_the_oldest_open_transaction() {
+        let (engine, session) = one_shard();
+        let commit = |key: Key| {
+            let mut txn = Transaction::begin(&engine);
+            txn.write(key, UpdateOp::Delete);
+            txn.commit(&session)
+        };
+        for key in 0..10_000 {
+            commit(key).unwrap();
+        }
+        assert!(engine.commits.lock().last.is_empty(), "no open transaction");
+
+        // A long-running transaction keeps every later commit it could
+        // conflict with, however many transactions end around it; an
+        // older one closing prunes only what it alone pinned.
+        let older = Transaction::begin(&engine);
+        commit(7).unwrap();
+        let mut long = Transaction::begin(&engine);
+        long.write(5, UpdateOp::Delete);
+        commit(5).unwrap();
+        assert_eq!(engine.commits.lock().last.len(), 2);
+        older.abort();
+        assert_eq!(engine.commits.lock().last.len(), 1);
+        for key in 10..20 {
+            commit(key).unwrap();
+            Transaction::begin(&engine).abort();
+        }
+        assert_eq!(engine.commits.lock().last.len(), 11);
+        let err = long.commit(&session).unwrap_err();
+        assert!(matches!(err, MasmError::Conflict { key: 5 }), "{err:?}");
+        let idx = engine.commits.lock();
+        assert!(idx.last.is_empty() && idx.open.is_empty(), "{idx:?}");
     }
 
     /// `sample_stats(2)` of the `masm-telemetry` stats tests, rebuilt

@@ -7,8 +7,9 @@
 //! * **Snapshot isolation** — [`Transaction`]: reads run at the
 //!   transaction's start timestamp; writes stage in a small private
 //!   buffer that is overlaid on the transaction's own scans; commit is
-//!   first-committer-wins and stamps every private write with one commit
-//!   timestamp before appending it to the global update buffer.
+//!   first-committer-wins against the deployment's one commit index and
+//!   stamps every private write with one commit timestamp before
+//!   routing it to its shard's update buffer.
 //! * **Locking (e.g. two-phase locking)** — [`LockManager`] +
 //!   [`LockingTransaction`]: an update becomes globally visible only
 //!   when its exclusive lock is released, at which point it receives the
@@ -24,25 +25,30 @@ use parking_lot::{Condvar, Mutex};
 use masm_pagestore::Key;
 use masm_storage::SessionHandle;
 
-use crate::engine::{MasmEngine, MergeScan};
 use crate::error::MasmResult;
+use crate::shard::{ShardedEngine, ShardedScan};
 use crate::ts::Timestamp;
 use crate::update::{UpdateOp, UpdateRecord};
 
-/// A snapshot-isolation transaction.
+/// A snapshot-isolation transaction. It stays registered with the
+/// engine's commit index from `begin` until it commits, aborts or is
+/// dropped.
 pub struct Transaction {
-    engine: Arc<MasmEngine>,
+    engine: Arc<ShardedEngine>,
     start_ts: Timestamp,
     writes: Vec<(Key, UpdateOp)>,
+    /// Still registered with the engine (cleared by `commit`).
+    open: bool,
 }
 
 impl Transaction {
     /// Begin a transaction; reads will see the database as of now.
-    pub fn begin(engine: &Arc<MasmEngine>) -> Self {
+    pub fn begin(engine: &Arc<ShardedEngine>) -> Self {
         Transaction {
-            start_ts: engine.oracle().next(),
+            start_ts: engine.begin_txn(),
             engine: Arc::clone(engine),
             writes: Vec::new(),
+            open: true,
         }
     }
 
@@ -61,28 +67,37 @@ impl Transaction {
         self.writes.len()
     }
 
-    /// Open a range scan that sees the snapshot **plus** this
-    /// transaction's own staged writes (the private-buffer `Mem_scan` of
-    /// §3.6).
-    pub fn scan(&self, session: SessionHandle, begin: Key, end: Key) -> MasmResult<MergeScan> {
+    /// Open a cross-shard range scan that sees the snapshot **plus**
+    /// this transaction's own staged writes (the private-buffer
+    /// `Mem_scan` of §3.6).
+    pub fn scan(&self, begin: Key, end: Key) -> MasmResult<ShardedScan> {
         let private: Vec<UpdateRecord> = self
             .writes
             .iter()
             .map(|(k, op)| UpdateRecord::new(self.start_ts, *k, op.clone()))
             .collect();
         self.engine
-            .begin_scan_at(session, begin, end, Some(self.start_ts), private)
+            .scan_at(begin, end, Some(self.start_ts), private)
     }
 
     /// Commit: first-committer-wins validation, then all writes receive
-    /// one commit timestamp and enter the global update buffer.
-    pub fn commit(self, session: &SessionHandle) -> MasmResult<Timestamp> {
-        self.engine
-            .commit_writes(session, self.start_ts, self.writes)
+    /// one commit timestamp and enter their shards' update buffers.
+    pub fn commit(mut self, session: &SessionHandle) -> MasmResult<Timestamp> {
+        self.open = false;
+        let writes = std::mem::take(&mut self.writes);
+        self.engine.commit_txn(session, self.start_ts, writes)
     }
 
     /// Abort: drop the private buffer.
     pub fn abort(self) {}
+}
+
+impl Drop for Transaction {
+    fn drop(&mut self) {
+        if self.open {
+            self.engine.end_txn(self.start_ts);
+        }
+    }
 }
 
 /// A minimal exclusive-lock table for demonstrating lock-based schemes.
@@ -122,7 +137,7 @@ impl LockManager {
 /// A two-phase-locking transaction: writes stay in a private buffer and
 /// become globally visible (with fresh timestamps) at lock release.
 pub struct LockingTransaction {
-    engine: Arc<MasmEngine>,
+    engine: Arc<ShardedEngine>,
     locks: Arc<LockManager>,
     held: Vec<Key>,
     pending: HashMap<Key, UpdateOp>,
@@ -130,7 +145,7 @@ pub struct LockingTransaction {
 
 impl LockingTransaction {
     /// Begin a locking transaction.
-    pub fn begin(engine: &Arc<MasmEngine>, locks: &Arc<LockManager>) -> Self {
+    pub fn begin(engine: &Arc<ShardedEngine>, locks: &Arc<LockManager>) -> Self {
         LockingTransaction {
             engine: Arc::clone(engine),
             locks: Arc::clone(locks),
@@ -155,7 +170,7 @@ impl LockingTransaction {
     pub fn commit(mut self, session: &SessionHandle) -> MasmResult<Timestamp> {
         let mut last_ts = 0;
         for (key, op) in std::mem::take(&mut self.pending) {
-            last_ts = self.engine.apply_update(session, key, op)?;
+            last_ts = self.engine.put(session, key, op)?;
         }
         for key in std::mem::take(&mut self.held) {
             self.locks.unlock(key);
@@ -199,14 +214,20 @@ mod tests {
         p
     }
 
-    fn setup() -> (Arc<MasmEngine>, SessionHandle) {
+    fn setup() -> (Arc<ShardedEngine>, SessionHandle) {
         let clock = SimClock::new();
         let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
         let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
         let wal = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
         let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-        let engine =
-            MasmEngine::new(heap, ssd, wal, schema(), MasmConfig::small_for_tests()).unwrap();
+        let engine = ShardedEngine::new(
+            heap,
+            vec![ssd],
+            vec![wal],
+            schema(),
+            MasmConfig::small_for_tests(),
+        )
+        .unwrap();
         let session = SessionHandle::fresh(clock);
         engine
             .load_table(
@@ -223,42 +244,26 @@ mod tests {
         let (engine, session) = setup();
         let txn = Transaction::begin(&engine);
         engine
-            .apply_update(&session, 1, UpdateOp::Insert(payload(1)))
+            .put(&session, 1, UpdateOp::Insert(payload(1)))
             .unwrap();
-        let keys: Vec<Key> = txn
-            .scan(session.clone(), 0, 10)
-            .unwrap()
-            .map(|r| r.key)
-            .collect();
+        let keys: Vec<Key> = txn.scan(0, 10).unwrap().map(|r| r.key).collect();
         assert!(!keys.contains(&1), "post-snapshot insert invisible");
         // A fresh scan outside the txn sees it.
-        let keys: Vec<Key> = engine
-            .begin_scan(session, 0, 10)
-            .unwrap()
-            .map(|r| r.key)
-            .collect();
+        let keys: Vec<Key> = engine.scan(0, 10).unwrap().map(|r| r.key).collect();
         assert!(keys.contains(&1));
     }
 
     #[test]
     fn transaction_sees_its_own_writes() {
-        let (engine, session) = setup();
+        let (engine, _session) = setup();
         let mut txn = Transaction::begin(&engine);
         txn.write(7, UpdateOp::Insert(payload(70)));
         txn.write(4, UpdateOp::Delete);
-        let keys: Vec<Key> = txn
-            .scan(session.clone(), 0, 10)
-            .unwrap()
-            .map(|r| r.key)
-            .collect();
+        let keys: Vec<Key> = txn.scan(0, 10).unwrap().map(|r| r.key).collect();
         assert!(keys.contains(&7), "own insert visible");
         assert!(!keys.contains(&4), "own delete visible");
         // Not yet visible outside.
-        let outside: Vec<Key> = engine
-            .begin_scan(session, 0, 10)
-            .unwrap()
-            .map(|r| r.key)
-            .collect();
+        let outside: Vec<Key> = engine.scan(0, 10).unwrap().map(|r| r.key).collect();
         assert!(!outside.contains(&7));
         assert!(outside.contains(&4));
     }
@@ -271,11 +276,7 @@ mod tests {
         txn.write(9, UpdateOp::Insert(payload(90)));
         let ts = txn.commit(&session).unwrap();
         assert!(ts > 0);
-        let keys: Vec<Key> = engine
-            .begin_scan(session, 0, 10)
-            .unwrap()
-            .map(|r| r.key)
-            .collect();
+        let keys: Vec<Key> = engine.scan(0, 10).unwrap().map(|r| r.key).collect();
         assert!(keys.contains(&7) && keys.contains(&9));
     }
 
@@ -304,15 +305,11 @@ mod tests {
 
     #[test]
     fn abort_discards_writes() {
-        let (engine, session) = setup();
+        let (engine, _session) = setup();
         let mut txn = Transaction::begin(&engine);
         txn.write(7, UpdateOp::Insert(payload(1)));
         txn.abort();
-        let keys: Vec<Key> = engine
-            .begin_scan(session, 0, 10)
-            .unwrap()
-            .map(|r| r.key)
-            .collect();
+        let keys: Vec<Key> = engine.scan(0, 10).unwrap().map(|r| r.key).collect();
         assert!(!keys.contains(&7));
     }
 
@@ -346,7 +343,7 @@ mod tests {
         let ts_b = handle.join().unwrap();
         assert!(ts_b > ts_a, "B serialized after A by the lock");
         // B's value wins.
-        let rec = engine.begin_scan(session, 60, 60).unwrap().next().unwrap();
+        let rec = engine.scan(60, 60).unwrap().next().unwrap();
         assert_eq!(schema().get_u32(&rec.payload, 0), 2);
     }
 

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use masm_core::config::{CodecChoice, MasmConfig};
 use masm_core::run::{lookup_in_run, write_run, RunScan};
 use masm_core::update::{FieldPatch, UpdateOp, UpdateRecord};
-use masm_core::{MasmEngine, MasmError};
+use masm_core::{MasmEngine, MasmError, ShardedEngine};
 use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
@@ -38,7 +38,7 @@ fn fixture_with(n_records: u64, cfg: MasmConfig) -> Fixture {
     let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
     let wal = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
     let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-    let engine = MasmEngine::new(heap, ssd, wal, schema(), cfg).unwrap();
+    let engine = ShardedEngine::new(heap, vec![ssd], vec![wal], schema(), cfg).unwrap();
     let session = SessionHandle::fresh(clock);
     engine
         .load_table(
@@ -47,6 +47,7 @@ fn fixture_with(n_records: u64, cfg: MasmConfig) -> Fixture {
             1.0,
         )
         .unwrap();
+    let engine = Arc::clone(&engine.shards()[0]);
     Fixture { engine, session }
 }
 

@@ -18,7 +18,7 @@ use masm_core::config::{IndexGranularity, MasmConfig};
 use masm_core::merge::compact_block_runs;
 use masm_core::run::{write_run, SortedRun};
 use masm_core::update::{UpdateOp, UpdateRecord};
-use masm_core::MasmEngine;
+use masm_core::{MasmEngine, ShardedEngine};
 use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 use masm_telemetry::{RecordKind, TraceConfig, Tracer};
@@ -35,6 +35,9 @@ fn payload(v: u32) -> Vec<u8> {
 }
 
 struct Fixture {
+    /// The one-shard deployment (tracer, shutdown).
+    sharded: Arc<ShardedEngine>,
+    /// Its shard.
     engine: Arc<MasmEngine>,
     session: SessionHandle,
     clock: SimClock,
@@ -48,10 +51,11 @@ fn fixture(cfg: MasmConfig, n_records: u64) -> Fixture {
     let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
     let wal_dev = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
     let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
-    let engine = MasmEngine::new(heap, ssd.clone(), wal_dev, schema(), cfg).unwrap();
+    let sharded =
+        ShardedEngine::new(heap, vec![ssd.clone()], vec![wal_dev], schema(), cfg).unwrap();
     let session = SessionHandle::fresh(clock.clone());
     if n_records > 0 {
-        engine
+        sharded
             .load_table(
                 &session,
                 (0..n_records).map(|i| Record::new(i * 2, payload(i as u32))),
@@ -60,7 +64,8 @@ fn fixture(cfg: MasmConfig, n_records: u64) -> Fixture {
             .unwrap();
     }
     Fixture {
-        engine,
+        engine: Arc::clone(&sharded.shards()[0]),
+        sharded,
         session,
         clock,
         ssd,
@@ -118,7 +123,7 @@ fn stress_round() -> usize {
         ring_capacity: 1 << 15,
         ..TraceConfig::default()
     }));
-    f.engine.install_tracer(Arc::clone(&tracer));
+    f.sharded.install_tracer(&tracer);
 
     let mut ingesters = Vec::new();
     for lane in 0..LANES {
@@ -168,7 +173,7 @@ fn stress_round() -> usize {
     }
     // Drain and join the pool; all sealed batches are flushed or still
     // query-visible, either way the final scan sees everything.
-    f.engine.shutdown();
+    f.sharded.shutdown();
 
     // Serial model: last write per key.
     let mut model: HashMap<u64, u32> = HashMap::new();
@@ -384,7 +389,7 @@ fn background_flush_fault_abandons_then_recovers() {
             .unwrap();
     }
     // Drain the queue: the flush job burns its retries and abandons.
-    f.engine.shutdown();
+    f.sharded.shutdown();
 
     let stats = f.engine.stats();
     assert!(stats.workers.jobs_failed >= 1, "flush must be abandoned");

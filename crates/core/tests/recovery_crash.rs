@@ -32,8 +32,9 @@ use std::thread;
 use proptest::prelude::*;
 
 use masm_core::config::MasmConfig;
-use masm_core::update::UpdateOp;
-use masm_core::{MasmEngine, ShardedEngine, ShardingConfig, SplitPolicy};
+use masm_core::update::{UpdateOp, UpdateRecord};
+use masm_core::wal::{Wal, WalRecord};
+use masm_core::{ShardedEngine, ShardingConfig, SplitPolicy};
 use masm_pagestore::{HeapConfig, Key, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
@@ -254,8 +255,9 @@ fn sharded_crash_under_load_loses_no_acked_update() {
     }
 }
 
-/// The unsharded variant: two lanes on one engine with background
-/// workers, plug pulled twice, recovered via [`MasmEngine::recover`].
+/// The unsharded variant: two lanes on a one-shard engine with
+/// background workers, plug pulled twice, recovered via
+/// [`ShardedEngine::recover`].
 #[test]
 fn unsharded_crash_under_load_loses_no_acked_update() {
     const LANES: usize = 2;
@@ -270,7 +272,14 @@ fn unsharded_crash_under_load_loses_no_acked_update() {
     let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
     let wal = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
     let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
-    let engine = MasmEngine::new(heap, ssd.clone(), wal.clone(), schema(), cfg.clone()).unwrap();
+    let engine = ShardedEngine::new(
+        heap,
+        vec![ssd.clone()],
+        vec![wal.clone()],
+        schema(),
+        cfg.clone(),
+    )
+    .unwrap();
     let session = SessionHandle::fresh(clock.clone());
     engine
         .load_table(
@@ -293,7 +302,7 @@ fn unsharded_crash_under_load_loses_no_acked_update() {
             for j in 0..PER_LANE {
                 let key = BASE + lane as u64 * 1000 + u64::from(j) % KEYS_PER_LANE;
                 engine
-                    .apply_update(&session, key, UpdateOp::Replace(payload(j)))
+                    .put(&session, key, UpdateOp::Replace(payload(j)))
                     .unwrap();
                 acked.lock().unwrap().push((key, j));
             }
@@ -325,10 +334,10 @@ fn unsharded_crash_under_load_loses_no_acked_update() {
 
     for (c, point) in crashes.into_iter().enumerate() {
         let heap = Arc::new(TableHeap::new(point.disk.clone(), HeapConfig::default()));
-        let (recovered, report) = MasmEngine::recover(
+        let (recovered, report) = ShardedEngine::recover(
             heap,
-            point.ssds[0].clone(),
-            point.wals[0].clone(),
+            point.ssds.clone(),
+            point.wals.clone(),
             schema(),
             cfg.clone(),
         )
@@ -338,7 +347,7 @@ fn unsharded_crash_under_load_loses_no_acked_update() {
         let s = schema();
         let session = SessionHandle::fresh(point.disk.clock().clone());
         let got: HashMap<Key, u32> = recovered
-            .begin_scan(session.clone(), BASE, u64::MAX)
+            .scan(BASE, u64::MAX)
             .unwrap()
             .map(|r| (r.key, s.get_u32(&r.payload, 0)))
             .collect();
@@ -349,7 +358,7 @@ fn unsharded_crash_under_load_loses_no_acked_update() {
             assert!(j >= min_j, "crash {c}: key {key}: acked {min_j}, got {j}");
         }
         assert!(
-            report.wal_records_replayed > 0,
+            report.wal_records_replayed() > 0,
             "crash {c}: nothing replayed?"
         );
 
@@ -357,11 +366,11 @@ fn unsharded_crash_under_load_loses_no_acked_update() {
         for j in 0..80u32 {
             let key = BASE + u64::from(j) % KEYS_PER_LANE;
             recovered
-                .apply_update(&session, key, UpdateOp::Replace(payload(PER_LANE + j)))
+                .put(&session, key, UpdateOp::Replace(payload(PER_LANE + j)))
                 .unwrap();
         }
-        recovered.flush_buffer(&session).unwrap();
-        let stats = recovered.stats();
+        recovered.flush_all(&session).unwrap();
+        let stats = recovered.stats().total;
         assert_eq!(
             stats.ssd.random_writes, 0,
             "crash {c}: random writes after recovery"
@@ -377,6 +386,9 @@ struct Golden {
     disk: SimDevice,
     ssd: SimDevice,
     wal: SimDevice,
+    /// WAL length once the deployment exists: the manifest record
+    /// `ShardedEngine::new` writes before it returns.
+    manifest_end: u64,
     /// `models[m]` = per-key state after the first `m` updates.
     models: Vec<HashMap<Key, u32>>,
     cfg: MasmConfig,
@@ -394,8 +406,15 @@ fn golden() -> &'static Golden {
         let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
         let wal = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
         let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
-        let engine =
-            MasmEngine::new(heap, ssd.clone(), wal.clone(), schema(), cfg.clone()).unwrap();
+        let engine = ShardedEngine::new(
+            heap,
+            vec![ssd.clone()],
+            vec![wal.clone()],
+            schema(),
+            cfg.clone(),
+        )
+        .unwrap();
+        let manifest_end = wal.len();
         let session = SessionHandle::fresh(clock);
         engine
             .load_table(
@@ -409,7 +428,7 @@ fn golden() -> &'static Golden {
         for j in 0..SWEEP_UPDATES {
             let key = BASE + u64::from(j) % SWEEP_KEYS;
             engine
-                .apply_update(&session, key, UpdateOp::Replace(payload(j)))
+                .put(&session, key, UpdateOp::Replace(payload(j)))
                 .unwrap();
             let mut m = models.last().unwrap().clone();
             m.insert(key, j);
@@ -418,16 +437,17 @@ fn golden() -> &'static Golden {
             // prefix cuts land inside every record type, not just
             // updates.
             if j == 19 {
-                engine.flush_buffer(&session).unwrap();
+                engine.flush_all(&session).unwrap();
             }
             if j == 33 {
-                engine.migrate(&session).unwrap();
+                engine.shards()[0].migrate(&session).unwrap();
             }
         }
         Golden {
             disk,
             ssd,
             wal,
+            manifest_end,
             models,
             cfg,
         }
@@ -436,10 +456,12 @@ fn golden() -> &'static Golden {
 
 proptest! {
     /// Crash at *any* WAL byte offset — including mid-record torn
-    /// tails — and recovery must (a) never panic or error, (b) produce
-    /// exactly the state after some prefix of the serial update
-    /// stream, and (c) be idempotent under an immediate second crash
-    /// and recovery.
+    /// tails — and recovery must (a) never panic, and never error once
+    /// the deployment's manifest is durable (a cut inside it is a
+    /// deployment `ShardedEngine::new` never returned, and is
+    /// rejected), (b) produce exactly the state after some prefix of
+    /// the serial update stream, and (c) be idempotent under an
+    /// immediate second crash and recovery.
     #[test]
     fn recovery_at_every_wal_prefix_is_a_serial_prefix(frac in 0u64..=10_000) {
         let g = golden();
@@ -449,16 +471,21 @@ proptest! {
         let ssd = g.ssd.snapshot(clock.clone()).unwrap();
         let wal = g.wal.snapshot_prefix(clock.clone(), cut).unwrap();
 
-        let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
-        let (engine, report) =
-            MasmEngine::recover(heap, ssd.clone(), wal.clone(), schema(), g.cfg.clone())
-                .expect("every WAL prefix must recover");
-        prop_assert!(report.wal_torn_bytes <= cut);
+        let recover = || {
+            let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
+            ShardedEngine::recover(heap, vec![ssd.clone()], vec![wal.clone()], schema(), g.cfg.clone())
+        };
+        if cut < g.manifest_end {
+            let err = recover().expect_err("a log cut inside its manifest must be rejected");
+            prop_assert!(err.to_string().contains("manifest"), "{}", err);
+            return Ok(());
+        }
+        let (engine, report) = recover().expect("every WAL prefix must recover");
+        prop_assert!(report.wal_torn_bytes() <= cut);
 
         let s = schema();
-        let session = SessionHandle::fresh(clock.clone());
         let got: HashMap<Key, u32> = engine
-            .begin_scan(session.clone(), BASE, u64::MAX)
+            .scan(BASE, u64::MAX)
             .unwrap()
             .map(|r| (r.key, s.get_u32(&r.payload, 0)))
             .collect();
@@ -472,11 +499,9 @@ proptest! {
         // Crash again immediately (no new updates): recovering the
         // same devices a second time reproduces the same state.
         drop(engine);
-        let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-        let (engine2, _) = MasmEngine::recover(heap, ssd, wal, schema(), g.cfg.clone())
-            .expect("double recovery must succeed");
+        let (engine2, _) = recover().expect("double recovery must succeed");
         let again: HashMap<Key, u32> = engine2
-            .begin_scan(session, BASE, u64::MAX)
+            .scan(BASE, u64::MAX)
             .unwrap()
             .map(|r| (r.key, s.get_u32(&r.payload, 0)))
             .collect();
@@ -540,8 +565,8 @@ fn manifest_validation_rejects_mismatched_deployments() {
     recovered.shutdown();
 }
 
-/// A WAL without a manifest (a standalone engine's log) cannot be
-/// recovered as a sharded deployment.
+/// A WAL without a manifest — valid records that no deployment wrote
+/// — cannot be recovered.
 #[test]
 fn sharded_recovery_requires_a_manifest() {
     let cfg = MasmConfig::small_for_tests();
@@ -549,11 +574,12 @@ fn sharded_recovery_requires_a_manifest() {
     let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
     let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
     let wal = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-    let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
-    let engine = MasmEngine::new(heap, ssd.clone(), wal.clone(), schema(), cfg.clone()).unwrap();
     let session = SessionHandle::fresh(clock);
-    engine.apply_update(&session, 7, UpdateOp::Delete).unwrap();
-    drop(engine);
+    let log = Wal::new(wal.clone(), 0);
+    for ts in 1..=3 {
+        let update = UpdateRecord::new(ts, 7, UpdateOp::Delete);
+        log.append(&session, &WalRecord::Update(update)).unwrap();
+    }
 
     let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
     let err = ShardedEngine::recover(heap, vec![ssd], vec![wal], schema(), cfg)

@@ -5,7 +5,7 @@
 //!
 //! The oracle test is the correctness contract of the sharding layer:
 //! routing the same update stream through a [`ShardedEngine`] must be
-//! observationally identical to a single [`MasmEngine`] — same commit
+//! observationally identical to a single-shard engine — same commit
 //! timestamps, same records at every snapshot cut, in the same global
 //! key order — while every shard individually preserves design goal 2
 //! (`random_writes == 0`).
@@ -18,7 +18,9 @@ use proptest::prelude::*;
 
 use masm_core::config::MasmConfig;
 use masm_core::update::UpdateOp;
-use masm_core::{MasmEngine, ShardRouter, ShardedEngine, ShardingConfig, SplitPolicy};
+use masm_core::{
+    MasmError, ShardRouter, ShardedEngine, ShardedScan, ShardingConfig, SplitPolicy, Transaction,
+};
 use masm_pagestore::{HeapConfig, Key, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
@@ -143,21 +145,9 @@ fn sharded_matches_single_engine_oracle() {
     };
     let f = sharded_fixture(cfg, 150);
 
-    let single_cfg = MasmConfig::small_for_tests();
-    let clock = SimClock::new();
-    let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
-    let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-    let wal = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-    let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-    let single = MasmEngine::new(heap, ssd, wal, schema(), single_cfg).unwrap();
-    let session = SessionHandle::fresh(clock);
-    single
-        .load_table(
-            &session,
-            (0..150).map(|i| Record::new(i * 2, payload(i as u32))),
-            1.0,
-        )
-        .unwrap();
+    let single_fixture = sharded_fixture(MasmConfig::small_for_tests(), 150);
+    let single = &single_fixture.engine.shards()[0];
+    let session = single_fixture.session.clone();
 
     // Deterministic pseudo-random keys without a rand dependency.
     let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -186,7 +176,10 @@ fn sharded_matches_single_engine_oracle() {
         );
         last_ts = ts_sharded;
         if j % 1000 == 999 && j + 1 < UPDATES {
-            let sharded_scan = f.engine.scan_at(0, u64::MAX, Some(ts_sharded)).unwrap();
+            let sharded_scan = f
+                .engine
+                .scan_at(0, u64::MAX, Some(ts_sharded), Vec::new())
+                .unwrap();
             let single_scan = single
                 .begin_scan_at(session.clone(), 0, u64::MAX, Some(ts_sharded), Vec::new())
                 .unwrap();
@@ -212,7 +205,7 @@ fn sharded_matches_single_engine_oracle() {
     // sub-range must agree record-for-record.
     let got: Vec<(Key, u32)> = f
         .engine
-        .scan_at(0, u64::MAX, Some(last_ts))
+        .scan_at(0, u64::MAX, Some(last_ts), Vec::new())
         .unwrap()
         .map(|r| (r.key, s.get_u32(&r.payload, 0)))
         .collect();
@@ -224,7 +217,7 @@ fn sharded_matches_single_engine_oracle() {
     assert_eq!(got, want, "final snapshot diverged");
     let got: Vec<Key> = f
         .engine
-        .scan_at(100, 320, Some(last_ts))
+        .scan_at(100, 320, Some(last_ts), Vec::new())
         .unwrap()
         .map(|r| r.key)
         .collect();
@@ -356,4 +349,60 @@ fn stress_concurrent_sharded_ingest_scan() {
         "unexpected imbalance {}",
         stats.shard_imbalance
     );
+}
+
+/// One snapshot-isolation transaction spans both shards of a 2-shard
+/// engine: its own scan sees its staged writes in both shards before
+/// commit, the commit stamps every write with one timestamp, and a
+/// conflicting commit through either shard's keys aborts.
+#[test]
+fn cross_shard_transaction_commits_under_one_timestamp() {
+    let mut cfg = MasmConfig::small_for_tests();
+    cfg.sharding = ShardingConfig {
+        shards: 2,
+        split_policy: SplitPolicy::Explicit(vec![100]),
+        max_concurrent_migrations: 1,
+    };
+    let f = sharded_fixture(cfg, 100);
+    let s = schema();
+    let values = |scan: ShardedScan| -> HashMap<Key, u32> {
+        scan.map(|r| (r.key, s.get_u32(&r.payload, 0))).collect()
+    };
+
+    let mut txn = Transaction::begin(&f.engine);
+    txn.write(11, UpdateOp::Insert(payload(1)));
+    txn.write(111, UpdateOp::Insert(payload(2)));
+    txn.write(150, UpdateOp::Delete);
+    let own = values(txn.scan(0, u64::MAX).unwrap());
+    assert_eq!((own.get(&11), own.get(&111)), (Some(&1), Some(&2)));
+    assert!(!own.contains_key(&150), "own delete visible");
+    let outside = values(f.engine.scan(0, u64::MAX).unwrap());
+    assert!(!outside.contains_key(&11) && !outside.contains_key(&111));
+    assert!(outside.contains_key(&150), "staged writes stay private");
+
+    let ts = txn.commit(&f.session).unwrap();
+    let before = values(
+        f.engine
+            .scan_at(0, u64::MAX, Some(ts - 1), Vec::new())
+            .unwrap(),
+    );
+    assert_eq!(before, outside, "nothing committed below the commit ts");
+    let at = values(f.engine.scan_at(0, u64::MAX, Some(ts), Vec::new()).unwrap());
+    assert_eq!(at, own, "every write committed at the one commit ts");
+
+    for (key, other) in [(11, 111), (111, 11)] {
+        let mut first = Transaction::begin(&f.engine);
+        let mut second = Transaction::begin(&f.engine);
+        first.write(key, UpdateOp::Replace(payload(7)));
+        second.write(key, UpdateOp::Replace(payload(8)));
+        second.write(other, UpdateOp::Replace(payload(8)));
+        first.commit(&f.session).unwrap();
+        let err = second.commit(&f.session).unwrap_err();
+        assert!(
+            matches!(err, MasmError::Conflict { key: k } if k == key),
+            "{err:?}"
+        );
+    }
+    let end = values(f.engine.scan(0, u64::MAX).unwrap());
+    assert_eq!((end.get(&11), end.get(&111)), (Some(&7), Some(&7)));
 }

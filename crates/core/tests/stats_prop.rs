@@ -1,4 +1,4 @@
-//! Property tests for [`MasmEngine::stats`]: under arbitrary
+//! Property tests for [`masm_core::MasmEngine::stats`]: under arbitrary
 //! interleavings of ingest, point lookups, merged scans, flushes,
 //! compactions, and migrations, the unified snapshot stays coherent —
 //! histogram counts equal operation counts, cache byte gauges add up,
@@ -10,24 +10,26 @@ use proptest::prelude::*;
 
 use masm_core::config::MasmConfig;
 use masm_core::update::{FieldPatch, UpdateOp};
-use masm_core::{EngineStats, MasmEngine, StatsDelta};
+use masm_core::{EngineStats, MasmEngine, ShardedEngine, StatsDelta};
 use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 use masm_telemetry::json::parse;
 use masm_telemetry::Metric;
 
 fn fixture(n_records: u64) -> (Arc<MasmEngine>, SessionHandle) {
-    fixture_with(n_records, MasmConfig::small_for_tests())
+    let (engine, session) = fixture_with(n_records, MasmConfig::small_for_tests());
+    (Arc::clone(&engine.shards()[0]), session)
 }
 
-fn fixture_with(n_records: u64, cfg: MasmConfig) -> (Arc<MasmEngine>, SessionHandle) {
+/// A loaded one-shard deployment.
+fn fixture_with(n_records: u64, cfg: MasmConfig) -> (Arc<ShardedEngine>, SessionHandle) {
     let schema = Schema::synthetic_100b();
     let clock = SimClock::new();
     let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
     let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
     let wal_dev = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
     let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-    let engine = MasmEngine::new(heap, ssd, wal_dev, schema.clone(), cfg).unwrap();
+    let engine = ShardedEngine::new(heap, vec![ssd], vec![wal_dev], schema.clone(), cfg).unwrap();
     let session = SessionHandle::fresh(clock);
     engine
         .load_table(
@@ -190,7 +192,8 @@ fn registry_metrics_agree_with_engine_stats() {
             background_workers: workers,
             ..MasmConfig::small_for_tests()
         };
-        let (engine, session) = fixture_with(300, cfg);
+        let (sharded, session) = fixture_with(300, cfg);
+        let engine = &sharded.shards()[0];
         // Enough updates to fill the buffer twice: inline, two flushes;
         // with a worker, background flush jobs.
         for i in 0..9000u64 {
@@ -216,7 +219,7 @@ fn registry_metrics_agree_with_engine_stats() {
             .unwrap()
             .count();
         engine.migrate(&session).unwrap();
-        engine.shutdown();
+        sharded.shutdown();
 
         let stats = engine.stats();
         assert!(stats.merge.inputs > 0, "the workload compacted");

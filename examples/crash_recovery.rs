@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use masm_core::update::UpdateOp;
-use masm_core::{MasmConfig, MasmEngine};
+use masm_core::{MasmConfig, ShardedEngine};
 use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
@@ -24,11 +24,13 @@ fn main() {
     let schema = Schema::synthetic_100b();
     let session = SessionHandle::fresh(clock.clone());
 
+    // A one-shard deployment: its manifest is the first record of the
+    // redo log, and recovery validates the devices against it.
     let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
-    let engine = MasmEngine::new(
+    let engine = ShardedEngine::new(
         heap,
-        ssd.clone(),
-        wal.clone(),
+        vec![ssd.clone()],
+        vec![wal.clone()],
         schema.clone(),
         MasmConfig::small_for_tests(),
     )
@@ -44,38 +46,32 @@ fn main() {
     // Stream updates: enough that some flush to SSD runs...
     for i in 0..3_000u64 {
         engine
-            .apply_update(
+            .put(
                 &session,
                 i * 2 + 1,
                 UpdateOp::Insert(schema.empty_payload()),
             )
             .unwrap();
     }
-    let _warm: usize = engine
-        .begin_scan(session.clone(), 0, u64::MAX)
-        .unwrap()
-        .count();
+    let _warm: usize = engine.scan(0, u64::MAX).unwrap().count();
     // ...and a few more that are still in the in-memory buffer when the
     // crash hits (these are what the redo log recovers).
     for i in 3_000..3_040u64 {
         engine
-            .apply_update(
+            .put(
                 &session,
                 i * 2 + 1,
                 UpdateOp::Insert(schema.empty_payload()),
             )
             .unwrap();
     }
-    let expected: Vec<u64> = engine
-        .begin_scan(session.clone(), 0, u64::MAX)
-        .unwrap()
-        .map(|r| r.key)
-        .collect();
+    let expected: Vec<u64> = engine.scan(0, u64::MAX).unwrap().map(|r| r.key).collect();
+    let shard = &engine.shards()[0];
     println!(
         "before crash: {} records visible, {} updates in memory, {} runs on SSD",
         expected.len(),
-        engine.buffered_updates(),
-        engine.run_count()
+        shard.buffered_updates(),
+        shard.run_count()
     );
 
     // CRASH. All in-memory state is gone; the devices survive.
@@ -83,25 +79,23 @@ fn main() {
     println!("\n*** crash ***\n");
 
     let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-    let (engine, report) = MasmEngine::recover(
+    let (engine, report) = ShardedEngine::recover(
         heap,
-        ssd,
-        wal,
+        vec![ssd],
+        vec![wal],
         schema.clone(),
         MasmConfig::small_for_tests(),
     )
     .unwrap();
     println!(
         "recovered: {} buffered updates restored, {} runs re-registered, \
-         migration redone: {}",
-        report.updates_recovered, report.runs_recovered, report.redid_migration
+         migrations redone: {}",
+        report.updates_recovered(),
+        report.runs_recovered(),
+        report.migrations_redriven
     );
 
-    let after: Vec<u64> = engine
-        .begin_scan(session.clone(), 0, u64::MAX)
-        .unwrap()
-        .map(|r| r.key)
-        .collect();
+    let after: Vec<u64> = engine.scan(0, u64::MAX).unwrap().map(|r| r.key).collect();
     assert_eq!(expected, after, "no update lost, none duplicated");
     println!(
         "post-recovery scan sees the identical {} records — zero lost updates.",
@@ -109,12 +103,8 @@ fn main() {
     );
 
     // And the engine keeps working: migrate everything, verify again.
-    engine.migrate(&session).unwrap();
-    let migrated: Vec<u64> = engine
-        .begin_scan(session, 0, u64::MAX)
-        .unwrap()
-        .map(|r| r.key)
-        .collect();
+    engine.shards()[0].migrate(&session).unwrap();
+    let migrated: Vec<u64> = engine.scan(0, u64::MAX).unwrap().map(|r| r.key).collect();
     assert_eq!(expected, migrated);
     println!("post-recovery migration verified: results unchanged.");
 }

@@ -4,10 +4,10 @@
 //! summary, and the throughput deltas between two snapshots.
 //!
 //! This is the observability tour: everything printed here comes from
-//! `MasmEngine::stats()` (one coherent snapshot, cheap enough to poll
-//! from a driver loop), `MasmEngine::metrics_registry()` (the metric
-//! catalog with units and help strings — also rendered as OpenMetrics
-//! text), and an installed [`masm_telemetry::Tracer`] whose flight
+//! the table's one shard — `MasmEngine::stats()` (one coherent
+//! snapshot, cheap enough to poll from a driver loop) and
+//! `MasmEngine::metrics_registry()` (the metric catalog with units and
+//! help strings — also rendered as OpenMetrics text) — and an installed [`masm_telemetry::Tracer`] whose flight
 //! recording is summarized as the top-3 longest spans per operation
 //! and checked by an [`masm_telemetry::InvariantWatchdog`].
 //!
@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use masm_core::update::{FieldPatch, UpdateOp};
-use masm_core::{EngineStats, MasmConfig, MasmEngine};
+use masm_core::{EngineStats, MasmConfig, ShardedEngine};
 use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 use masm_telemetry::{
@@ -104,14 +104,17 @@ fn main() {
 
     let schema = Schema::synthetic_100b();
     let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-    let engine = MasmEngine::new(
+    let sharded = ShardedEngine::new(
         heap,
-        ssd,
-        wal,
+        vec![ssd],
+        vec![wal],
         schema.clone(),
         MasmConfig::small_for_tests(),
     )
     .expect("valid config");
+    // A standalone table is the one-shard case; its engine owns the
+    // statistics and the metric registry shown below.
+    let engine = &sharded.shards()[0];
 
     // Flight-record the whole run. Everything emitted below lands in
     // the tracer's lock-free rings; the summary at the end drains them.
@@ -120,10 +123,10 @@ fn main() {
         ..TraceConfig::default()
     }));
     tracer.bind_registry(engine.metrics_registry());
-    engine.install_tracer(Arc::clone(&tracer));
+    sharded.install_tracer(&tracer);
 
     let session = SessionHandle::fresh(clock.clone());
-    engine
+    sharded
         .load_table(
             &session,
             (0..5_000u64).map(|i| Record::new(i * 2, schema.empty_payload())),

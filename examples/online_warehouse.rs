@@ -33,9 +33,9 @@ fn main() {
 
     // The query itself: sum the measure column.
     let session = masm.machine.session();
-    let schema = masm.engine.schema().clone();
+    let schema = masm.shard().schema().clone();
     let sum: u64 = masm
-        .engine
+        .shard()
         .begin_scan(session, begin, end)
         .unwrap()
         .map(|r| schema.get_u32(&r.payload, 0) as u64)

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use masm_core::update::{FieldPatch, UpdateOp};
-use masm_core::{MasmConfig, MasmEngine};
+use masm_core::{MasmConfig, ShardedEngine};
 use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
@@ -23,11 +23,12 @@ fn main() {
 
     // A 100-byte-record table: u32 "measure" + filler, clustered by key.
     let schema = Schema::synthetic_100b();
+    // A standalone table is a one-shard deployment: one SSD, one WAL.
     let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-    let engine = MasmEngine::new(
+    let engine = ShardedEngine::new(
         heap,
-        ssd,
-        wal,
+        vec![ssd],
+        vec![wal],
         schema.clone(),
         MasmConfig::small_for_tests(),
     )
@@ -51,13 +52,11 @@ fn main() {
     let mut new_row = schema.empty_payload();
     schema.set_u32(&mut new_row, 0, 4242);
     engine
-        .apply_update(&session, 4241, UpdateOp::Insert(new_row))
+        .put(&session, 4241, UpdateOp::Insert(new_row))
         .unwrap();
+    engine.put(&session, 4244, UpdateOp::Delete).unwrap();
     engine
-        .apply_update(&session, 4244, UpdateOp::Delete)
-        .unwrap();
-    engine
-        .apply_update(
+        .put(
             &session,
             4246,
             UpdateOp::Modify(vec![FieldPatch {
@@ -69,7 +68,7 @@ fn main() {
 
     // A range scan sees all three updates merged in, immediately.
     println!("range scan of [4240, 4250] after online updates:");
-    for record in engine.begin_scan(session.clone(), 4240, 4250).unwrap() {
+    for record in engine.scan(4240, 4250).unwrap() {
         println!(
             "  key {:>5}  measure {}",
             record.key,
@@ -78,20 +77,17 @@ fn main() {
     }
 
     // Migrate the cached updates back into the main data, in place.
-    let report = engine.migrate(&session).unwrap();
+    let shard = &engine.shards()[0];
+    let report = shard.migrate(&session).unwrap();
     println!(
         "\nmigration: {} updates applied, {} pages written, runs left: {}",
         report.updates_applied,
         report.pages_written,
-        engine.run_count()
+        shard.run_count()
     );
 
     // Scans read identical data afterwards.
-    let keys: Vec<u64> = engine
-        .begin_scan(session.clone(), 4240, 4250)
-        .unwrap()
-        .map(|r| r.key)
-        .collect();
+    let keys: Vec<u64> = engine.scan(4240, 4250).unwrap().map(|r| r.key).collect();
     println!("post-migration keys in [4240, 4250]: {keys:?}");
     println!("virtual time elapsed: {:.3} ms", clock.now() as f64 / 1e6);
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use masm_core::txn::{LockManager, LockingTransaction, Transaction};
 use masm_core::update::UpdateOp;
-use masm_core::{MasmConfig, MasmEngine, MasmError};
+use masm_core::{MasmConfig, MasmError, ShardedEngine};
 use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
@@ -21,10 +21,10 @@ fn main() {
     let session = SessionHandle::fresh(clock.clone());
 
     let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-    let engine = MasmEngine::new(
+    let engine = ShardedEngine::new(
         heap,
-        ssd,
-        wal,
+        vec![ssd],
+        vec![wal],
         schema.clone(),
         MasmConfig::small_for_tests(),
     )
@@ -52,11 +52,7 @@ fn main() {
     bob.write(102, UpdateOp::Replace(payload(&schema, 2222)));
 
     // Alice sees her own uncommitted write; the world does not.
-    let mine = alice
-        .scan(session.clone(), 100, 100)
-        .unwrap()
-        .next()
-        .unwrap();
+    let mine = alice.scan(100, 100).unwrap().next().unwrap();
     println!(
         "alice reads her own staged write: measure = {}",
         schema.get_u32(&mine.payload, 0)
@@ -76,21 +72,13 @@ fn main() {
     let mut txn = LockingTransaction::begin(&engine, &locks);
     txn.write(200, UpdateOp::Replace(payload(&schema, 9999)));
     // The write is invisible until the lock is released at commit.
-    let before = engine
-        .begin_scan(session.clone(), 200, 200)
-        .unwrap()
-        .next()
-        .unwrap();
+    let before = engine.scan(200, 200).unwrap().next().unwrap();
     println!(
         "\nunder 2PL, before commit the world sees measure = {}",
         schema.get_u32(&before.payload, 0)
     );
     txn.commit(&session).unwrap();
-    let after = engine
-        .begin_scan(session, 200, 200)
-        .unwrap()
-        .next()
-        .unwrap();
+    let after = engine.scan(200, 200).unwrap().next().unwrap();
     println!(
         "after lock release it sees measure = {}",
         schema.get_u32(&after.payload, 0)

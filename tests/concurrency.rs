@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use masm_core::update::UpdateOp;
-use masm_core::{MasmConfig, MasmEngine};
+use masm_core::{MasmConfig, MasmEngine, ShardedEngine};
 use masm_pagestore::{HeapConfig, Key, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
@@ -21,7 +21,8 @@ fn engine_with(records: u64) -> (Arc<MasmEngine>, SessionHandle, SimClock) {
     let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
     let wal = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
     let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-    let engine = MasmEngine::new(heap, ssd, wal, schema(), MasmConfig::small_for_tests()).unwrap();
+    let cfg = MasmConfig::small_for_tests();
+    let engine = ShardedEngine::new(heap, vec![ssd], vec![wal], schema(), cfg).unwrap();
     let session = SessionHandle::fresh(clock.clone());
     engine
         .load_table(
@@ -30,7 +31,7 @@ fn engine_with(records: u64) -> (Arc<MasmEngine>, SessionHandle, SimClock) {
             1.0,
         )
         .unwrap();
-    (engine, session, clock)
+    (Arc::clone(&engine.shards()[0]), session, clock)
 }
 
 /// Each query must see a prefix of the update sequence: with updates

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use masm_baselines::{InPlaceEngine, IuEngine};
 use masm_core::update::{FieldPatch, UpdateOp};
-use masm_core::{MasmConfig, MasmEngine};
+use masm_core::{MasmConfig, MasmEngine, ShardedEngine};
 use masm_pagestore::{HeapConfig, Key, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 use masm_workloads::synthetic::{SyntheticTable, UpdateMix, UpdateStreamGen};
@@ -43,6 +43,14 @@ impl Rig {
         heap.bulk_load(&s, table.records(), fill).unwrap();
         heap
     }
+
+    /// The shard of a one-shard deployment over `heap` and this rig's
+    /// SSD and WAL.
+    fn masm(&self, heap: Arc<TableHeap>, cfg: MasmConfig) -> Arc<MasmEngine> {
+        let ssds = vec![self.ssd.clone()];
+        let engine = ShardedEngine::new(heap, ssds, vec![self.wal.clone()], schema(), cfg);
+        Arc::clone(&engine.unwrap().shards()[0])
+    }
 }
 
 /// Render a scan's output for comparisons: (key, payload) pairs.
@@ -62,14 +70,7 @@ fn all_schemes_agree_on_query_results() {
 
     // MaSM.
     let rig = Rig::new();
-    let masm = MasmEngine::new(
-        rig.heap(3_000, 1.0),
-        rig.ssd.clone(),
-        rig.wal.clone(),
-        schema(),
-        MasmConfig::small_for_tests(),
-    )
-    .unwrap();
+    let masm = rig.masm(rig.heap(3_000, 1.0), MasmConfig::small_for_tests());
     let s = rig.session();
     for (k, op) in &updates {
         masm.apply_update(&s, *k, op.clone()).unwrap();
@@ -110,14 +111,7 @@ fn masm_equals_inplace_after_migration_too() {
             .collect();
 
     let rig = Rig::new();
-    let masm = MasmEngine::new(
-        rig.heap(2_000, 1.0),
-        rig.ssd.clone(),
-        rig.wal.clone(),
-        schema(),
-        MasmConfig::small_for_tests(),
-    )
-    .unwrap();
+    let masm = rig.masm(rig.heap(2_000, 1.0), MasmConfig::small_for_tests());
     let s = rig.session();
     for (k, op) in &updates {
         masm.apply_update(&s, *k, op.clone()).unwrap();
@@ -135,14 +129,7 @@ fn masm_equals_inplace_after_migration_too() {
 #[test]
 fn range_scans_match_full_scans() {
     let rig = Rig::new();
-    let masm = MasmEngine::new(
-        rig.heap(5_000, 1.0),
-        rig.ssd.clone(),
-        rig.wal.clone(),
-        schema(),
-        MasmConfig::small_for_tests(),
-    )
-    .unwrap();
+    let masm = rig.masm(rig.heap(5_000, 1.0), MasmConfig::small_for_tests());
     let s = rig.session();
     let table = SyntheticTable::new(5_000);
     for (k, op) in UpdateStreamGen::uniform(table, UpdateMix::default(), 17).take(3_000) {
@@ -167,14 +154,7 @@ fn masm_never_issues_random_ssd_writes() {
     // migration; the SSD must see at most a handful of non-continuation
     // writes (run starts after space rewinds), never scattered ones.
     let rig = Rig::new();
-    let masm = MasmEngine::new(
-        rig.heap(2_000, 1.0),
-        rig.ssd.clone(),
-        rig.wal.clone(),
-        schema(),
-        MasmConfig::small_for_tests(),
-    )
-    .unwrap();
+    let masm = rig.masm(rig.heap(2_000, 1.0), MasmConfig::small_for_tests());
     let s = rig.session();
     let table = SyntheticTable::new(2_000);
     rig.ssd.reset_stats();
@@ -203,14 +183,7 @@ fn masm_never_issues_random_ssd_writes() {
 #[test]
 fn modify_of_every_field_applies() {
     let rig = Rig::new();
-    let masm = MasmEngine::new(
-        rig.heap(100, 1.0),
-        rig.ssd.clone(),
-        rig.wal.clone(),
-        schema(),
-        MasmConfig::small_for_tests(),
-    )
-    .unwrap();
+    let masm = rig.masm(rig.heap(100, 1.0), MasmConfig::small_for_tests());
     let s = rig.session();
     let sch = schema();
     // Field 0 is the u32 measure; field 1 the filler bytes.
@@ -246,14 +219,7 @@ fn update_cache_capacity_is_enforced() {
                                   // cache can fill up while still below a 0.9 threshold; use 0.7 so
                                   // "full" implies "needs migration".
     cfg.migration_threshold = 0.7;
-    let masm = MasmEngine::new(
-        rig.heap(1_000, 1.0),
-        rig.ssd.clone(),
-        rig.wal.clone(),
-        schema(),
-        cfg,
-    )
-    .unwrap();
+    let masm = rig.masm(rig.heap(1_000, 1.0), cfg);
     let s = rig.session();
     let table = SyntheticTable::new(1_000);
     let mut gen = UpdateStreamGen::uniform(table, UpdateMix::default(), 1);

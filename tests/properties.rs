@@ -11,7 +11,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use masm_core::update::{FieldPatch, UpdateOp};
-use masm_core::{MasmConfig, MasmEngine};
+use masm_core::{MasmConfig, ShardedEngine};
 use masm_pagestore::{HeapConfig, Key, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
@@ -90,14 +90,9 @@ fn run_scenario(slots: u64, actions: Vec<Action>) {
     let session = SessionHandle::fresh(clock.clone());
 
     let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
-    let mut engine = MasmEngine::new(
-        heap,
-        ssd.clone(),
-        wal.clone(),
-        schema(),
-        MasmConfig::small_for_tests(),
-    )
-    .unwrap();
+    let cfg = MasmConfig::small_for_tests();
+    let mut engine =
+        ShardedEngine::new(heap, vec![ssd.clone()], vec![wal.clone()], schema(), cfg).unwrap();
     let base: Vec<Record> = (0..slots)
         .map(|i| Record::new(i * 2, payload_with(i as u32)))
         .collect();
@@ -113,14 +108,12 @@ fn run_scenario(slots: u64, actions: Vec<Action>) {
                 let key = slot * 2 + 1;
                 let op = UpdateOp::Insert(payload_with(measure));
                 oracle.apply(key, &op);
-                engine.apply_update(&session, key, op).unwrap();
+                engine.put(&session, key, op).unwrap();
             }
             Action::Delete { slot } => {
                 let key = slot * 2;
                 oracle.apply(key, &UpdateOp::Delete);
-                engine
-                    .apply_update(&session, key, UpdateOp::Delete)
-                    .unwrap();
+                engine.put(&session, key, UpdateOp::Delete).unwrap();
             }
             Action::Modify { slot, measure } => {
                 let key = slot * 2;
@@ -129,7 +122,7 @@ fn run_scenario(slots: u64, actions: Vec<Action>) {
                     value: measure.to_le_bytes().to_vec(),
                 }]);
                 oracle.apply(key, &op);
-                engine.apply_update(&session, key, op).unwrap();
+                engine.put(&session, key, op).unwrap();
             }
             Action::Scan {
                 begin_slot,
@@ -137,22 +130,22 @@ fn run_scenario(slots: u64, actions: Vec<Action>) {
             } => {
                 let (b, e) = (begin_slot * 2, end_slot * 2 + 1);
                 let got: Vec<(Key, Vec<u8>)> = engine
-                    .begin_scan(session.clone(), b, e)
+                    .scan(b, e)
                     .unwrap()
                     .map(|r| (r.key, r.payload))
                     .collect();
                 assert_eq!(got, oracle.dump(b, e), "scan [{b}, {e}] diverged");
             }
             Action::Migrate => {
-                engine.migrate(&session).unwrap();
+                engine.shards()[0].migrate(&session).unwrap();
             }
             Action::CrashRecover => {
                 drop(engine);
                 let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
-                engine = MasmEngine::recover(
+                engine = ShardedEngine::recover(
                     heap,
-                    ssd.clone(),
-                    wal.clone(),
+                    vec![ssd.clone()],
+                    vec![wal.clone()],
                     schema(),
                     MasmConfig::small_for_tests(),
                 )
@@ -163,7 +156,7 @@ fn run_scenario(slots: u64, actions: Vec<Action>) {
     }
     // Final full check.
     let got: Vec<(Key, Vec<u8>)> = engine
-        .begin_scan(session, 0, u64::MAX)
+        .scan(0, u64::MAX)
         .unwrap()
         .map(|r| (r.key, r.payload))
         .collect();

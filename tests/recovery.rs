@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use masm_core::update::UpdateOp;
-use masm_core::{MasmConfig, MasmEngine};
+use masm_core::{MasmConfig, ShardedEngine};
 use masm_pagestore::{HeapConfig, Key, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 use masm_workloads::synthetic::{SyntheticTable, UpdateMix, UpdateStreamGen};
@@ -36,16 +36,16 @@ impl Durable {
         SessionHandle::fresh(self.clock.clone())
     }
 
-    fn fresh_engine(&self, records: u64) -> Arc<MasmEngine> {
+    /// A new one-shard deployment over the devices; its manifest is
+    /// the first record of the log.
+    fn deploy(&self) -> Arc<ShardedEngine> {
         let heap = Arc::new(TableHeap::new(self.disk.clone(), HeapConfig::default()));
-        let engine = MasmEngine::new(
-            heap,
-            self.ssd.clone(),
-            self.wal.clone(),
-            schema(),
-            MasmConfig::small_for_tests(),
-        )
-        .unwrap();
+        let (ssds, wals) = (vec![self.ssd.clone()], vec![self.wal.clone()]);
+        ShardedEngine::new(heap, ssds, wals, schema(), MasmConfig::small_for_tests()).unwrap()
+    }
+
+    fn fresh_engine(&self, records: u64) -> Arc<ShardedEngine> {
+        let engine = self.deploy();
         let s = self.session();
         engine
             .load_table(&s, SyntheticTable::new(records).records(), 1.0)
@@ -54,34 +54,34 @@ impl Durable {
     }
 
     /// Simulate a crash: rebuild everything from the devices.
-    fn recover(&self) -> Arc<MasmEngine> {
+    fn try_recover(&self) -> masm_core::MasmResult<Arc<ShardedEngine>> {
         let heap = Arc::new(TableHeap::new(self.disk.clone(), HeapConfig::default()));
-        MasmEngine::recover(
-            heap,
-            self.ssd.clone(),
-            self.wal.clone(),
-            schema(),
-            MasmConfig::small_for_tests(),
-        )
-        .unwrap()
-        .0
+        let (ssds, wals) = (vec![self.ssd.clone()], vec![self.wal.clone()]);
+        let cfg = MasmConfig::small_for_tests();
+        ShardedEngine::recover(heap, ssds, wals, schema(), cfg).map(|(engine, _)| engine)
+    }
+
+    fn recover(&self) -> Arc<ShardedEngine> {
+        self.try_recover().unwrap()
     }
 }
 
-fn scan_all(engine: &Arc<MasmEngine>, s: &SessionHandle) -> Vec<(Key, Vec<u8>)> {
+fn scan_all(engine: &ShardedEngine) -> Vec<(Key, Vec<u8>)> {
     engine
-        .begin_scan(s.clone(), 0, u64::MAX)
+        .scan(0, u64::MAX)
         .unwrap()
         .map(|r| (r.key, r.payload))
         .collect()
 }
 
+/// A deployment that crashed before any write: its log holds only the
+/// manifest `ShardedEngine::new` wrote.
 #[test]
 fn recovery_with_empty_wal_is_clean() {
     let d = Durable::new();
+    drop(d.deploy());
     let engine = d.recover();
-    let s = d.session();
-    assert_eq!(scan_all(&engine, &s).len(), 0);
+    assert_eq!(scan_all(&engine).len(), 0);
 }
 
 #[test]
@@ -93,21 +93,21 @@ fn repeated_crash_recover_cycles_lose_nothing() {
     let mut gen = UpdateStreamGen::uniform(table, UpdateMix::default(), 77);
 
     let mut engine = engine;
-    let mut expected = scan_all(&engine, &s);
+    let mut expected = scan_all(&engine);
     for cycle in 0..4 {
         for _ in 0..700 {
             let (k, op) = gen.next_update();
-            engine.apply_update(&s, k, op).unwrap();
+            engine.put(&s, k, op).unwrap();
         }
-        expected = scan_all(&engine, &s);
+        expected = scan_all(&engine);
         drop(engine);
         engine = d.recover();
-        let got = scan_all(&engine, &s);
+        let got = scan_all(&engine);
         assert_eq!(expected, got, "cycle {cycle}");
     }
     // Migration after several recoveries still works and preserves data.
-    engine.migrate(&s).unwrap();
-    assert_eq!(expected, scan_all(&engine, &s));
+    engine.shards()[0].migrate(&s).unwrap();
+    assert_eq!(expected, scan_all(&engine));
 }
 
 #[test]
@@ -117,15 +117,19 @@ fn recovery_after_migration_sees_migrated_data() {
     let engine = d.fresh_engine(800);
     for i in 0..900u64 {
         engine
-            .apply_update(&s, i * 2 + 1, UpdateOp::Insert(schema().empty_payload()))
+            .put(&s, i * 2 + 1, UpdateOp::Insert(schema().empty_payload()))
             .unwrap();
     }
-    engine.migrate(&s).unwrap();
-    let expected = scan_all(&engine, &s);
+    engine.shards()[0].migrate(&s).unwrap();
+    let expected = scan_all(&engine);
     drop(engine);
     let engine = d.recover();
-    assert_eq!(expected, scan_all(&engine, &s));
-    assert_eq!(engine.run_count(), 0, "migrated runs stay deleted");
+    assert_eq!(expected, scan_all(&engine));
+    assert_eq!(
+        engine.shards()[0].run_count(),
+        0,
+        "migrated runs stay deleted"
+    );
 }
 
 #[test]
@@ -135,13 +139,11 @@ fn recovery_resumes_timestamps_monotonically() {
     let engine = d.fresh_engine(100);
     let mut last_ts = 0;
     for i in 0..50u64 {
-        last_ts = engine
-            .apply_update(&s, i * 2 + 1, UpdateOp::Delete)
-            .unwrap();
+        last_ts = engine.put(&s, i * 2 + 1, UpdateOp::Delete).unwrap();
     }
     drop(engine);
     let engine = d.recover();
-    let next = engine.apply_update(&s, 1, UpdateOp::Delete).unwrap();
+    let next = engine.put(&s, 1, UpdateOp::Delete).unwrap();
     assert!(
         next > last_ts,
         "post-recovery timestamps ({next}) must exceed pre-crash ones ({last_ts})"
@@ -153,7 +155,7 @@ fn torn_wal_tail_is_truncated_and_salvaged() {
     let d = Durable::new();
     let s = d.session();
     let engine = d.fresh_engine(100);
-    engine.apply_update(&s, 1, UpdateOp::Delete).unwrap();
+    engine.put(&s, 1, UpdateOp::Delete).unwrap();
     drop(engine);
     // Tear the log tail: append a half-written record whose length
     // prefix promises more bytes than exist — the shape a crash
@@ -161,29 +163,25 @@ fn torn_wal_tail_is_truncated_and_salvaged() {
     let len = d.wal.len();
     d.wal.write_at(0, len, &[200, 0, 0, 0, 0]).unwrap();
     let heap = Arc::new(TableHeap::new(d.disk.clone(), HeapConfig::default()));
-    let (engine, report) = MasmEngine::recover(
+    let (engine, report) = ShardedEngine::recover(
         heap,
-        d.ssd.clone(),
-        d.wal.clone(),
+        vec![d.ssd.clone()],
+        vec![d.wal.clone()],
         schema(),
         MasmConfig::small_for_tests(),
     )
     .expect("torn tail must be truncated, not fatal");
-    assert_eq!(report.wal_torn_bytes, 5, "{report:?}");
-    assert_eq!(report.updates_recovered, 1);
+    assert_eq!(report.wal_torn_bytes(), 5, "{report:?}");
+    assert_eq!(report.updates_recovered(), 1);
     // The acknowledged pre-crash delete survived the truncation.
-    let keys: Vec<Key> = engine
-        .begin_scan(s.clone(), 0, 5)
-        .unwrap()
-        .map(|r| r.key)
-        .collect();
+    let keys: Vec<Key> = engine.scan(0, 5).unwrap().map(|r| r.key).collect();
     assert!(!keys.contains(&1), "recovered delete visible");
     // Appending past the truncated tail and crashing again replays
     // cleanly: the garbage was buried by the new append point.
-    engine.apply_update(&s, 3, UpdateOp::Delete).unwrap();
+    engine.put(&s, 3, UpdateOp::Delete).unwrap();
     drop(engine);
     let engine = d.recover();
-    let keys: Vec<Key> = engine.begin_scan(s, 0, 5).unwrap().map(|r| r.key).collect();
+    let keys: Vec<Key> = engine.scan(0, 5).unwrap().map(|r| r.key).collect();
     assert!(!keys.contains(&1) && !keys.contains(&3));
 }
 
@@ -191,25 +189,25 @@ fn torn_wal_tail_is_truncated_and_salvaged() {
 fn midlog_wal_corruption_is_a_hard_error() {
     let d = Durable::new();
     let s = d.session();
-    let engine = d.fresh_engine(100);
-    engine.apply_update(&s, 1, UpdateOp::Delete).unwrap();
-    engine.apply_update(&s, 3, UpdateOp::Delete).unwrap();
+    let engine = d.deploy();
+    let manifest_len = d.wal.len();
+    engine
+        .load_table(&s, SyntheticTable::new(100).records(), 1.0)
+        .unwrap();
+    engine.put(&s, 1, UpdateOp::Delete).unwrap();
+    engine.put(&s, 3, UpdateOp::Delete).unwrap();
     drop(engine);
-    // Flip a byte in the *middle* of the log. Valid records follow the
-    // damage, so this cannot be a torn tail — recovery must refuse to
-    // silently drop acknowledged history.
-    let (mut bytes, _) = d.wal.read_at(d.wal.busy_until(), 12, 1).unwrap();
+    // Flip a byte in the *middle* of the log (byte 12 of the first
+    // record after the manifest). Valid records follow the damage, so
+    // this cannot be a torn tail — recovery must refuse to silently
+    // drop acknowledged history.
+    let at = manifest_len + 12;
+    let (mut bytes, _) = d.wal.read_at(d.wal.busy_until(), at, 1).unwrap();
     bytes[0] ^= 0xFF;
-    d.wal.write_at(d.wal.busy_until(), 12, &bytes).unwrap();
-    let heap = Arc::new(TableHeap::new(d.disk.clone(), HeapConfig::default()));
-    let err = MasmEngine::recover(
-        heap,
-        d.ssd.clone(),
-        d.wal.clone(),
-        schema(),
-        MasmConfig::small_for_tests(),
-    )
-    .expect_err("mid-log corruption must be surfaced");
+    d.wal.write_at(d.wal.busy_until(), at, &bytes).unwrap();
+    let err = d
+        .try_recover()
+        .expect_err("mid-log corruption must be surfaced");
     assert!(err.to_string().contains("CRC"), "{err}");
 }
 
@@ -220,29 +218,21 @@ fn updates_arriving_after_recovery_coexist_with_recovered_state() {
     let engine = d.fresh_engine(500);
     for i in 0..800u64 {
         engine
-            .apply_update(&s, i * 2 + 1, UpdateOp::Insert(schema().empty_payload()))
+            .put(&s, i * 2 + 1, UpdateOp::Insert(schema().empty_payload()))
             .unwrap();
     }
     drop(engine);
     let engine = d.recover();
     // New updates after recovery.
-    engine.apply_update(&s, 2, UpdateOp::Delete).unwrap();
-    let keys: Vec<Key> = engine
-        .begin_scan(s.clone(), 0, 20)
-        .unwrap()
-        .map(|r| r.key)
-        .collect();
+    engine.put(&s, 2, UpdateOp::Delete).unwrap();
+    let keys: Vec<Key> = engine.scan(0, 20).unwrap().map(|r| r.key).collect();
     assert!(keys.contains(&1), "recovered insert visible");
     assert!(!keys.contains(&2), "fresh delete visible");
 
     // Crash again: both generations survive.
     drop(engine);
     let engine = d.recover();
-    let keys: Vec<Key> = engine
-        .begin_scan(s, 0, 20)
-        .unwrap()
-        .map(|r| r.key)
-        .collect();
+    let keys: Vec<Key> = engine.scan(0, 20).unwrap().map(|r| r.key).collect();
     assert!(keys.contains(&1));
     assert!(!keys.contains(&2));
 }
